@@ -400,19 +400,7 @@ func BenchmarkProcessWithCache(b *testing.B) {
 	}
 }
 
-// --- extension: tree diff and write-through-views merge ---
-
-func BenchmarkDiffIdentical(b *testing.B) {
-	doc := workload.GenDocument(workload.DocConfig{Depth: 4, Fanout: 4, Attrs: 2, Seed: 5})
-	other := doc.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cs := dom.Diff(doc, other); len(cs) != 0 {
-			b.Fatal("identical docs should not differ")
-		}
-	}
-}
+// --- extension: write-through-views merge ---
 
 func BenchmarkMergeViewNoOp(b *testing.B) {
 	eng := core.NewEngine(labexample.Directory(), labexample.Store())

@@ -18,13 +18,8 @@ import (
 // workload cycles many distinct requesters over one shared document —
 // the million-user shape the ROADMAP targets — because that is exactly
 // where the index pays: node-sets depend on (path, document) only, so
-// every requester after the first reuses them.
-//
-// Cold labeling is measured twice: over the pointer tree (arena
-// dropped — the pre-arena XPath cost) and over the arena (the
-// arena-native evaluator collecting index-space node-sets). The
-// cold-arena row's speedup against cold-tree isolates the query
-// layer's arena win on the XPath-dominated fill path.
+// every requester after the first reuses them. Cold labeling runs the
+// arena-native evaluator, collecting index-space node-sets.
 
 // authIndexBenchResult is one measured (case, mode) cell, and the
 // record format of BENCH_authindex.json.
@@ -33,12 +28,11 @@ type authIndexBenchResult struct {
 	Nodes      int     `json:"nodes"`
 	Auths      int     `json:"auths"`
 	Requesters int     `json:"requesters"`
-	Mode       string  `json:"mode"` // "cold-tree", "cold-arena" or "warm"
+	Mode       string  `json:"mode"` // "cold-arena" or "warm"
 	NsPerOp    float64 `json:"ns_op"`
 	BytesOp    int64   `json:"bytes_op"`
 	AllocsOp   int64   `json:"allocs_op"`
-	// Speedup: cold-arena rows report cold-tree/cold-arena (the arena
-	// XPath win); warm rows report cold-arena/warm (the index win).
+	// Speedup: warm rows report cold-arena/warm (the index win).
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
@@ -92,9 +86,8 @@ func expAuthIndex() error {
 		warm := core.NewEngine(dir, store)
 		warm.WarmAuthIndex(doc, cfg.URI, cfg.DTDURI, 8)
 
-		// Sanity: warm and cold labelings — with and without the arena —
-		// must serve identical views for every requester before we time
-		// anything.
+		// Sanity: warm and cold labelings must serve identical views for
+		// every requester before we time anything.
 		for _, req := range reqs {
 			vw, err := warm.ComputeView(req, doc)
 			if err != nil {
@@ -104,34 +97,18 @@ func expAuthIndex() error {
 			if err != nil {
 				return err
 			}
-			doc.DropArena()
-			vt, err := cold.ComputeView(req, doc)
-			doc.BuildArena()
-			if err != nil {
-				return err
-			}
-			if vw.XMLIndent("  ") != vc.XMLIndent("  ") || vc.XMLIndent("  ") != vt.XMLIndent("  ") {
-				return fmt.Errorf("%s: warm/cold-arena/cold-tree views disagree for %s", c.name, req.Requester)
+			if vw.XMLIndent("  ") != vc.XMLIndent("  ") {
+				return fmt.Errorf("%s: warm/cold views disagree for %s", c.name, req.Requester)
 			}
 		}
 
 		nodes := doc.CountNodes()
-		var nsColdTree, nsColdArena float64
+		var nsCold float64
 		for _, mode := range []struct {
-			name  string
-			eng   *core.Engine
-			arena bool
-		}{{"cold-tree", cold, false}, {"cold-arena", cold, true}, {"warm", warm, true}} {
+			name string
+			eng  *core.Engine
+		}{{"cold-arena", cold}, {"warm", warm}} {
 			eng := mode.eng
-			// The document is shared across modes; the benchmarks run
-			// sequentially, so representation flips are safe.
-			if mode.arena {
-				if doc.ArenaIfBuilt() == nil {
-					doc.BuildArena()
-				}
-			} else {
-				doc.DropArena()
-			}
 			br := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -140,9 +117,6 @@ func expAuthIndex() error {
 					}
 				}
 			})
-			if doc.ArenaIfBuilt() == nil {
-				doc.BuildArena()
-			}
 			r := authIndexBenchResult{
 				Case:       c.name,
 				Nodes:      nodes,
@@ -154,28 +128,19 @@ func expAuthIndex() error {
 				AllocsOp:   br.AllocsPerOp(),
 			}
 			suffix := ""
-			switch mode.name {
-			case "cold-tree":
-				nsColdTree = r.NsPerOp
-			case "cold-arena":
-				nsColdArena = r.NsPerOp
-				if nsColdTree > 0 {
-					r.Speedup = nsColdTree / r.NsPerOp
-					suffix = fmt.Sprintf("  (%.2fx vs cold-tree)", r.Speedup)
-				}
-			case "warm":
-				if nsColdArena > 0 {
-					r.Speedup = nsColdArena / r.NsPerOp
-					suffix = fmt.Sprintf("  (%.2fx vs cold-arena)", r.Speedup)
-				}
+			if mode.name == "cold-arena" {
+				nsCold = r.NsPerOp
+			} else if nsCold > 0 {
+				r.Speedup = nsCold / r.NsPerOp
+				suffix = fmt.Sprintf("  (%.2fx vs cold-arena)", r.Speedup)
 			}
 			results = append(results, r)
 			fmt.Printf("%-12s %-8d %-6d %-6d %-11s %-14.0f %-14d %-12d%s\n",
 				r.Case, r.Nodes, r.Auths, r.Requesters, r.Mode, r.NsPerOp, r.BytesOp, r.AllocsOp, suffix)
 		}
 	}
-	fmt.Println("(cold = index disabled, every request evaluates every applicable path —")
-	fmt.Println(" over the pointer tree (cold-tree) or the arena-native evaluator (cold-arena);")
+	fmt.Println("(cold-arena = index disabled, every request evaluates every applicable path")
+	fmt.Println(" with the arena-native evaluator;")
 	fmt.Println(" warm = node-set index pre-filled, steady-state labeling does zero XPath work;")
 	fmt.Println(" requests cycle distinct requesters, so warm hits are cross-requester reuse)")
 

@@ -10,9 +10,7 @@
 //	xsbench -exp all            run everything
 //	xsbench -exp fig3           one experiment: fig1 fig3 loosen online
 //	                            pipeline conflict subjects xpath cache
-//	                            stages view authindex
-//	xsbench -exp view -json BENCH_view.json
-//	                            clone vs mask serve path, JSON output
+//	                            stages authindex
 //	xsbench -exp authindex -json BENCH_authindex.json
 //	                            cold vs warm node-set-index labeling
 //	xsbench -exp trace -json BENCH_trace.json
@@ -55,9 +53,9 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig1 fig3 loosen online pipeline conflict subjects xpath cache stages view authindex trace wal classes dom obs updates all")
+	exp := flag.String("exp", "all", "experiment to run: fig1 fig3 loosen online pipeline conflict subjects xpath cache stages authindex trace wal classes obs updates all")
 	flag.BoolVar(&quick, "quick", false, "smaller parameter sweeps")
-	flag.StringVar(&jsonOut, "json", "", "write machine-readable results of the view/authindex/trace/wal experiments to this file")
+	flag.StringVar(&jsonOut, "json", "", "write machine-readable results of the authindex/trace/wal/classes/obs/updates experiments to this file")
 	flag.Parse()
 
 	experiments := map[string]func() error{
@@ -71,16 +69,14 @@ func main() {
 		"xpath":     expXPath,
 		"cache":     expCache,
 		"stages":    expStages,
-		"view":      expView,
 		"authindex": expAuthIndex,
 		"trace":     expTrace,
 		"wal":       expWAL,
 		"classes":   expClasses,
-		"dom":       expDom,
 		"obs":       expObs,
 		"updates":   expUpdates,
 	}
-	order := []string{"fig1", "fig3", "loosen", "conflict", "subjects", "xpath", "pipeline", "online", "cache", "stages", "view", "authindex", "trace", "wal", "classes", "dom", "obs", "updates"}
+	order := []string{"fig1", "fig3", "loosen", "conflict", "subjects", "xpath", "pipeline", "online", "cache", "stages", "authindex", "trace", "wal", "classes", "obs", "updates"}
 
 	var names []string
 	if *exp == "all" {
@@ -555,7 +551,7 @@ func expCache() error {
 	fmt.Printf("%-22s %-12s\n", "recompute", noCache)
 	fmt.Printf("%-22s %-12s (x%.0f; %d hits / %d misses)\n",
 		"view cache", withCache, float64(noCache)/float64(withCache), hits, misses)
-	fmt.Println("(cache keys: requester triple + document, invalidated by store generations)")
+	fmt.Println("(cache keys: equivalence class + document, invalidated by store generations)")
 	return nil
 }
 

@@ -58,12 +58,6 @@ type AuthIndex struct {
 // authorization-store generation.
 type docIndex struct {
 	gen uint64
-	doc *dom.Document
-
-	// table maps dense preorder index → node, built once per entry so
-	// cached index sets convert back to nodes with an array access.
-	tableOnce sync.Once
-	table     []*dom.Node
 
 	mu   sync.Mutex
 	sets map[*authz.Authorization]*nodeSet
@@ -122,41 +116,23 @@ func (x *AuthIndex) entryFor(doc *dom.Document, gen uint64) *docIndex {
 			break
 		}
 	}
-	de = &docIndex{gen: gen, doc: doc, sets: make(map[*authz.Authorization]*nodeSet)}
+	de = &docIndex{gen: gen, sets: make(map[*authz.Authorization]*nodeSet)}
 	x.byDoc[doc] = de
 	return de
-}
-
-// nodeTable returns the entry's dense index→node table, building it on
-// first use.
-func (de *docIndex) nodeTable() []*dom.Node {
-	de.tableOnce.Do(func() {
-		table := make([]*dom.Node, de.doc.NodeCount())
-		de.doc.Walk(func(n *dom.Node) bool {
-			if n.Order >= 0 && n.Order < len(table) {
-				table[n.Order] = n
-			}
-			return true
-		})
-		de.table = table
-	})
-	return de.table
 }
 
 // lookup returns the cached node indexes for authorization a over doc
 // under store generation gen, filling the entry (once, even under
 // concurrency) on first use. Fills run in index space
 // (SelectIndexesCtx): on arena documents the XPath evaluation and the
-// cached set never materialize a *dom.Node — callers that do need
-// pointers (the tree-labeling route) build the entry's index→node table
-// lazily via docIndex.nodeTable on the returned entry. The hit result
+// cached set never materialize a *dom.Node. The hit result
 // reports whether the set was already filled — the per-request trace
 // annotates its label span with the totals. A fill under a traced
 // context records an "authindex.fill" span (the XPath evaluation a warm
 // request avoids), so a sampled trace shows exactly which
 // authorizations this request paid for.
-func (x *AuthIndex) lookup(ctx context.Context, doc *dom.Document, gen uint64, a *authz.Authorization) (set []int32, de *docIndex, hit bool, err error) {
-	de = x.entryFor(doc, gen)
+func (x *AuthIndex) lookup(ctx context.Context, doc *dom.Document, gen uint64, a *authz.Authorization) (set []int32, hit bool, err error) {
+	de := x.entryFor(doc, gen)
 	de.mu.Lock()
 	ns := de.sets[a]
 	if ns == nil {
@@ -194,9 +170,9 @@ func (x *AuthIndex) lookup(ctx context.Context, doc *dom.Document, gen uint64, a
 		ns.filled.Store(true)
 	})
 	if ns.err != nil {
-		return nil, nil, hit, ns.err
+		return nil, hit, ns.err
 	}
-	return ns.idx, de, hit, nil
+	return ns.idx, hit, nil
 }
 
 // Warm pre-fills the index for doc under store generation gen with the
@@ -212,7 +188,7 @@ func (x *AuthIndex) Warm(doc *dom.Document, gen uint64, auths []*authz.Authoriza
 	}
 	if workers <= 1 {
 		for _, a := range auths {
-			_, _, _, _ = x.lookup(context.Background(), doc, gen, a)
+			_, _, _ = x.lookup(context.Background(), doc, gen, a)
 		}
 		return
 	}
@@ -223,7 +199,7 @@ func (x *AuthIndex) Warm(doc *dom.Document, gen uint64, auths []*authz.Authoriza
 		go func() {
 			defer wg.Done()
 			for a := range ch {
-				_, _, _, _ = x.lookup(context.Background(), doc, gen, a)
+				_, _, _ = x.lookup(context.Background(), doc, gen, a)
 			}
 		}()
 	}

@@ -12,12 +12,11 @@ import (
 	"xmlsec/internal/xmlparse"
 )
 
-// The mask pipeline must be observationally identical to the legacy
-// clone-label-prune pipeline it replaced: for any document,
-// authorization set and requester, serializing the shared document
-// through the visibility mask yields byte-for-byte the XML that
-// pruning a per-request clone used to produce. ComputeViewClone is
-// kept exactly for this role of differential oracle.
+// The view pipeline (arena labeling by propagation, visibility mask,
+// masked serialization) must be observationally identical to the
+// paper's specification: for any document, authorization set and
+// requester, serializing the shared document through the visibility
+// mask yields byte-for-byte the XML of the specification oracle below.
 
 // diffWriteOptions are the serialization shapes compared in every
 // differential check (flat, pretty, with and without prolog).
@@ -28,40 +27,68 @@ var diffWriteOptions = []dom.WriteOptions{
 	{Indent: "\t", OmitDecl: true},
 }
 
-// assertPipelinesAgree computes the view of doc for req through both
-// pipelines and fails the test on any observable difference.
+// specView is the specification oracle's view of a document: the
+// per-node definition of Figure 2 (NaiveLabel — pointer-tree XPath per
+// authorization, every node climbing its own ancestor chain, no
+// propagation) followed by the physical §6.2 pruning of PruneDoc, both
+// on a private arena-less copy of the document. It shares no labeling,
+// XPath or serialization code with the pipeline under test.
+type specView struct {
+	doc      *dom.Document // the pruned copy
+	nonEmpty bool
+	stats    core.Stats // Nodes, Plus, Minus, Eps and Kept only
+}
+
+func specOracle(t *testing.T, ctx string, eng *core.Engine, req core.Request, doc *dom.Document) specView {
+	t.Helper()
+	work := doc.Clone()
+	lb, err := eng.NaiveLabel(req, work, true)
+	if err != nil {
+		t.Fatalf("%s: specification oracle: %v", ctx, err)
+	}
+	var sv specView
+	sv.stats.Nodes = work.CountNodes()
+	sv.stats.Plus, sv.stats.Minus, sv.stats.Eps = lb.Count()
+	sv.nonEmpty = core.PruneDoc(work, lb, eng.PolicyFor(req.URI))
+	sv.stats.Kept = work.CountNodes()
+	sv.doc = work
+	return sv
+}
+
+// assertPipelinesAgree computes the view of doc for req through the
+// pipeline and through the specification oracle and fails the test on
+// any observable difference.
 func assertPipelinesAgree(t *testing.T, ctx string, eng *core.Engine, req core.Request, doc *dom.Document) {
 	t.Helper()
 	mv, err := eng.ComputeView(req, doc)
 	if err != nil {
-		t.Fatalf("%s: mask pipeline: %v", ctx, err)
+		t.Fatalf("%s: view pipeline: %v", ctx, err)
 	}
-	cv, err := eng.ComputeViewClone(req, doc)
-	if err != nil {
-		t.Fatalf("%s: clone pipeline: %v", ctx, err)
+	sv := specOracle(t, ctx, eng, req, doc)
+	if mv.Empty() == sv.nonEmpty {
+		t.Fatalf("%s: emptiness disagrees: pipeline empty=%v, spec empty=%v", ctx, mv.Empty(), !sv.nonEmpty)
 	}
-	if mv.Empty() != cv.Empty() {
-		t.Fatalf("%s: emptiness disagrees: mask %v, clone %v", ctx, mv.Empty(), cv.Empty())
-	}
-	if mv.Stats != cv.Stats {
-		t.Errorf("%s: stats disagree: mask %+v, clone %+v", ctx, mv.Stats, cv.Stats)
+	got := mv.Stats
+	got.AuthsInstance, got.AuthsSchema = 0, 0
+	if got != sv.stats {
+		t.Errorf("%s: stats disagree: pipeline %+v, spec %+v", ctx, got, sv.stats)
 	}
 	for _, opts := range diffWriteOptions {
 		var a, b strings.Builder
 		if err := mv.WriteXML(&a, opts); err != nil {
-			t.Fatalf("%s: mask serialization: %v", ctx, err)
+			t.Fatalf("%s: pipeline serialization: %v", ctx, err)
 		}
-		if err := cv.WriteXML(&b, opts); err != nil {
-			t.Fatalf("%s: clone serialization: %v", ctx, err)
+		if err := sv.doc.Write(&b, opts); err != nil {
+			t.Fatalf("%s: spec serialization: %v", ctx, err)
 		}
 		if a.String() != b.String() {
-			t.Errorf("%s: serializations differ (opts %+v):\n--- mask ---\n%s\n--- clone ---\n%s",
+			t.Errorf("%s: serializations differ (opts %+v):\n--- pipeline ---\n%s\n--- spec ---\n%s",
 				ctx, opts, a.String(), b.String())
 		}
 	}
-	// The materialized mask view must match the pruned clone as a tree.
-	if got, want := mv.Materialize().StringIndent("  "), cv.Doc.StringIndent("  "); got != want {
-		t.Errorf("%s: materialized view differs from pruned clone:\n--- mask ---\n%s\n--- clone ---\n%s",
+	// The materialized view must match the pruned copy as a tree.
+	if got, want := mv.Materialize().StringIndent("  "), sv.doc.StringIndent("  "); got != want {
+		t.Errorf("%s: materialized view differs from the spec's pruned copy:\n--- pipeline ---\n%s\n--- spec ---\n%s",
 			ctx, got, want)
 	}
 }
@@ -69,7 +96,7 @@ func assertPipelinesAgree(t *testing.T, ctx string, eng *core.Engine, req core.R
 // TestDifferentialFixtures sweeps the directed pruning fixtures —
 // every corner of the prune semantics (structure-only ancestors,
 // withheld text, attribute-kept shells, comments/PIs, open and closed
-// policies, empty views) — through both pipelines.
+// policies, empty views) — through the pipeline and the oracle.
 func TestDifferentialFixtures(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -132,7 +159,7 @@ func TestDifferentialFixtures(t *testing.T) {
 
 // TestDifferentialFigure1 runs the paper's running example (Figure 1
 // document, Figure 4/5 authorizations) for each of its characteristic
-// requesters through both pipelines.
+// requesters through the pipeline and the oracle.
 func TestDifferentialFigure1(t *testing.T) {
 	eng := core.NewEngine(labexample.Directory(), labexample.Store())
 	doc, _ := labexample.Parse()
@@ -147,8 +174,8 @@ func TestDifferentialFigure1(t *testing.T) {
 	}
 }
 
-// TestDifferentialRandomized fuzzes both pipelines with generated
-// documents, DTDs, populations and authorization sets.
+// TestDifferentialRandomized checks the pipeline against the oracle on
+// generated documents, DTDs, populations and authorization sets.
 func TestDifferentialRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		eng, req, doc, _ := randomSetup(seed)
@@ -156,13 +183,9 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestDifferentialDeepDocument pins both pipelines — recursive
-// labeling, mask construction, pruning, and serialization — on a
-// 10000-element-deep chain with the only grant on the deepest leaf, so
-// every ancestor survives as structure. None of the recursions may
-// overflow, and the outputs must still agree.
-func TestDifferentialDeepDocument(t *testing.T) {
-	const depth = 10000
+// deepChain builds <d>hidden<c>hidden<c>…<leaf>visible</leaf>…</c></d>
+// with depth nested <c> elements.
+func deepChain(depth int) *dom.Document {
 	doc := dom.NewDocument()
 	root := dom.NewElement("d")
 	doc.SetDocumentElement(root)
@@ -177,7 +200,17 @@ func TestDifferentialDeepDocument(t *testing.T) {
 	leaf.AppendChild(dom.NewText("visible"))
 	cur.AppendChild(leaf)
 	doc.Renumber()
+	return doc
+}
 
+// TestDifferentialDeepDocument pins the pipeline — recursive labeling,
+// mask construction, and serialization — on a 10000-element-deep chain
+// with the only grant on the deepest leaf, so every ancestor survives
+// as structure without its text. None of the recursions may overflow,
+// and the output must be exactly that chain. The specification oracle
+// costs O(depth²) (every node climbs its ancestors), so it checks the
+// same shape at depth 1000.
+func TestDifferentialDeepDocument(t *testing.T) {
 	dir := subjects.NewDirectory()
 	if err := dir.AddUser("u"); err != nil {
 		t.Fatal(err)
@@ -191,7 +224,9 @@ func TestDifferentialDeepDocument(t *testing.T) {
 		Requester: subjects.Requester{User: "u", IP: "9.9.9.9", Host: "h.test.org"},
 		URI:       "deep.xml",
 	}
-	mv, err := eng.ComputeView(req, doc)
+
+	const depth = 10000
+	mv, err := eng.ComputeView(req, deepChain(depth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,54 +234,13 @@ func TestDifferentialDeepDocument(t *testing.T) {
 	if err := mv.WriteXML(&a, dom.WriteOptions{OmitDecl: true, OmitDocType: true}); err != nil {
 		t.Fatal(err)
 	}
-	out := a.String()
-	if strings.Contains(out, "hidden") {
-		t.Fatal("structural ancestors leaked their text at depth")
+	want := "<d>" + strings.Repeat("<c>", depth) + "<leaf>visible</leaf>" + strings.Repeat("</c>", depth) + "</d>"
+	if out := a.String(); out != want {
+		t.Fatalf("deep view is not the bare structural chain (%d bytes, want %d)", len(out), len(want))
 	}
-	if !strings.Contains(out, "visible") {
-		t.Fatal("granted leaf missing from deep view")
-	}
-	if got, want := strings.Count(out, "<c>"), depth; got != want {
-		t.Fatalf("structural chain truncated: %d of %d <c> elements", got, want)
-	}
-	cv, err := eng.ComputeViewClone(req, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := cv.WriteXML(&b, dom.WriteOptions{OmitDecl: true, OmitDocType: true}); err != nil {
-		t.Fatal(err)
-	}
-	if out != b.String() {
-		t.Error("deep-document serializations differ between pipelines")
-	}
-}
-
-// TestLegacyCloneViewsOption pins the Engine.LegacyCloneViews escape
-// hatch: it routes ComputeView through the clone pipeline (views carry
-// an Origin map and a private tree) without changing the output.
-func TestLegacyCloneViewsOption(t *testing.T) {
-	doc, _ := labexample.Parse()
-	req := core.Request{Requester: labexample.Tom, URI: labexample.DocURI, DTDURI: labexample.DTDURI}
-
-	eng := core.NewEngine(labexample.Directory(), labexample.Store())
-	mask, err := eng.ComputeView(req, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask.Mask == nil || mask.Origin != nil || mask.Doc != doc {
-		t.Error("default pipeline should share the document under a mask")
+	if got := mv.Stats.Kept; got != depth+2 {
+		t.Fatalf("kept %d nodes, want %d", got, depth+2)
 	}
 
-	eng.LegacyCloneViews = true
-	clone, err := eng.ComputeView(req, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.Mask != nil || clone.Origin == nil || clone.Doc == doc {
-		t.Error("LegacyCloneViews should produce a private pruned clone with provenance")
-	}
-	if mask.XMLIndent("  ") != clone.XMLIndent("  ") {
-		t.Error("pipelines disagree on the served XML")
-	}
+	assertPipelinesAgree(t, "deep", eng, req, deepChain(1000))
 }

@@ -25,24 +25,13 @@ type Engine struct {
 	// Default is the policy for documents with no specific policy.
 	Default Policy
 
-	// LegacyCloneViews switches ComputeView back to the historical
-	// clone-label-prune pipeline: every request deep-copies the
-	// document, labels the copy, and physically prunes it. The default
-	// (false) is the mask pipeline, which labels the shared read-only
-	// document in place and represents the view as a visibility bitmask
-	// — no per-request tree allocation. The clone path is kept for one
-	// release as the differential-testing oracle (ComputeViewClone runs
-	// it unconditionally) and is scheduled for removal; see DESIGN.md
-	// "Virtual views". Set before serving, like Hierarchy and Store.
-	LegacyCloneViews bool
-
 	mu       sync.RWMutex
 	policies map[string]Policy // per-document URI
 	polGen   uint64            // bumped by SetPolicy/ClearPolicies
 	stages   StageObserver
 	// authIndex caches per-document authorization node-sets so
 	// steady-state labeling does zero XPath work; nil disables caching
-	// (the differential-testing oracle). NewEngine installs one.
+	// (the uncached baseline). NewEngine installs one.
 	authIndex *AuthIndex
 }
 
@@ -90,7 +79,7 @@ func (e *Engine) AuthIndex() *AuthIndex {
 
 // SetAuthIndex installs (or, with nil, disables) the engine's node-set
 // index. With the index disabled every request evaluates every
-// applicable path expression — the uncached oracle the differential
+// applicable path expression — the uncached baseline the differential
 // tests compare against. Safe to call concurrently with Label.
 func (e *Engine) SetAuthIndex(x *AuthIndex) {
 	e.mu.Lock()
@@ -221,30 +210,18 @@ type Stats struct {
 // View is the outcome of compute-view: the document a requester is
 // entitled to see, plus the labeling that produced it.
 //
-// In the mask pipeline (the default), Doc is the shared read-only
-// original and Mask carries the visibility decision per node; nothing
-// is copied and the original nodes are the view nodes, so provenance
-// is the identity. In the legacy clone pipeline Doc is a pruned copy,
-// Mask is nil, and Origin maps copies back to originals. Consumers
-// should go through Empty, Visible, OriginOf, WriteXML and Materialize
-// rather than reading the fields, so both representations behave the
-// same.
+// Doc is the shared read-only original and Mask carries the visibility
+// decision per node; nothing is copied and the original nodes are the
+// view nodes, so provenance is the identity.
 type View struct {
-	// Doc is the document the view is over: the shared original in the
-	// mask pipeline, a pruned copy in the legacy pipeline. In neither
-	// case is the original document mutated.
+	// Doc is the document the view is over: the shared original, never
+	// mutated.
 	Doc *dom.Document
-	// Mask is the visibility bitmask over Doc's node indexes (nil in
-	// the legacy pipeline, where pruning is physical).
+	// Mask is the visibility bitmask over Doc's node indexes.
 	Mask dom.Bitmask
 	// Labeling holds the final labels, keyed by Doc's node indexes
 	// (invisible nodes remain queryable).
 	Labeling *Labeling
-	// Origin maps each node of Doc back to the corresponding node of
-	// the document the view was computed from. Only the legacy clone
-	// pipeline populates it; under the mask pipeline the original
-	// nodes are the view nodes and OriginOf is the identity.
-	Origin map[*dom.Node]*dom.Node
 	// Stats summarizes the computation.
 	Stats Stats
 
@@ -264,13 +241,10 @@ func (v *View) Empty() bool {
 func (v *View) Visible(n *dom.Node) bool { return v.Mask.Visible(n) }
 
 // OriginOf maps a view node back to the node of the original document
-// it represents, or nil for nodes outside the view. Under the mask
-// pipeline this is the identity on visible nodes — the provenance that
-// write-through-views needs comes for free.
+// it represents, or nil for nodes outside the view: the identity on
+// visible nodes — the provenance that write-through-views needs comes
+// for free.
 func (v *View) OriginOf(n *dom.Node) *dom.Node {
-	if v.Origin != nil {
-		return v.Origin[n]
-	}
 	if v.Mask.Visible(n) {
 		return n
 	}
@@ -294,15 +268,12 @@ func (v *View) XMLIndent(indent string) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Materialize returns the view as a standalone pruned document — what
-// the legacy pipeline returned in Doc. The copy is built on first use
-// and cached (safely under concurrent callers); the serve path never
-// needs it, but validation, XPath queries and offline tools do. The
-// result must not be mutated: it is shared by every caller.
+// Materialize returns the view as a standalone pruned document. The
+// copy is built on first use and cached (safely under concurrent
+// callers); the serve path never needs it, but validation, XPath
+// queries and offline tools do. The result must not be mutated: it is
+// shared by every caller.
 func (v *View) Materialize() *dom.Document {
-	if v.Mask == nil {
-		return v.Doc
-	}
 	v.matOnce.Do(func() { v.mat = v.Doc.CloneMasked(v.Mask) })
 	return v.mat
 }
@@ -310,18 +281,20 @@ func (v *View) Materialize() *dom.Document {
 // ComputeView runs the paper's compute-view algorithm (Figure 2): it
 // gathers the authorizations applicable to the requester at instance
 // and schema level, labels the document tree by recursive propagation,
-// and computes the view. The input document is never modified.
+// and computes the view. The input document's content is never
+// modified.
 //
-// By default the view is virtual: the shared document is labeled in
-// place (labels live in a dense per-request slice, not on the tree)
-// and the transformation step produces a visibility mask instead of a
-// pruned copy — set-at-a-time labeling with zero per-request tree
-// allocation, the shape the paper's "fast on-line computation" claim
-// (Section 6, E5) asks for. With Engine.LegacyCloneViews the historical
-// clone-label-prune pipeline runs instead.
+// The view is virtual: the shared document's arena is labeled in place
+// (labels live in a dense per-request slice, not on the tree) and the
+// transformation step produces a visibility mask instead of a pruned
+// copy — set-at-a-time labeling with zero per-request tree allocation,
+// the shape the paper's "fast on-line computation" claim (Section 6,
+// E5) asks for.
 //
-// The document must have been renumbered (the parser does this) and is
-// treated as immutable for the lifetime of the returned view.
+// The document is treated as immutable for the lifetime of the
+// returned view. Parsed documents carry their arena already; a
+// hand-built document gets one on first use, which, like Renumber,
+// must happen before the document is shared between goroutines.
 func (e *Engine) ComputeView(req Request, doc *dom.Document) (*View, error) {
 	return e.ComputeViewCtx(context.Background(), req, doc)
 }
@@ -332,9 +305,6 @@ func (e *Engine) ComputeView(req Request, doc *dom.Document) (*View, error) {
 // node-set-index effectiveness and label counts annotated on them. An
 // untraced context adds no allocation and no lock to the cycle.
 func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Document) (*View, error) {
-	if e.LegacyCloneViews {
-		return e.ComputeViewClone(req, doc)
-	}
 	obs := e.stageObserver()
 	lctx, sp := trace.StartSpan(ctx, "label")
 	start := time.Now()
@@ -369,35 +339,9 @@ func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Docum
 	return &View{Doc: doc, Mask: mask, Labeling: lb, Stats: stats}, nil
 }
 
-// ComputeViewClone runs the legacy clone-label-prune pipeline
-// unconditionally: it deep-copies the document, labels the copy, and
-// physically prunes it. Kept as the differential-testing oracle for the
-// mask pipeline (and behind Engine.LegacyCloneViews for operators who
-// need one release of fallback); scheduled for removal.
-func (e *Engine) ComputeViewClone(req Request, doc *dom.Document) (*View, error) {
-	obs := e.stageObserver()
-	work, origin := doc.CloneWithMap()
-	start := time.Now()
-	lb, stats, err := e.Label(req, work)
-	if err != nil {
-		return nil, err
-	}
-	if obs != nil {
-		obs.ObserveStage("label", time.Since(start))
-	}
-	pol := e.PolicyFor(req.URI)
-	start = time.Now()
-	PruneDoc(work, lb, pol)
-	stats.Kept = work.CountNodes()
-	if obs != nil {
-		obs.ObserveStage("prune", time.Since(start))
-	}
-	return &View{Doc: work, Labeling: lb, Origin: origin, Stats: stats}, nil
-}
-
-// Label runs only the tree-labeling step on doc (in place with respect
-// to labels; the tree is not modified), returning the labeling and
-// statistics. Exposed separately so benchmarks and diagnostic tools can
+// Label runs only the tree-labeling step on doc (labels go to a fresh
+// dense slice; the document is not modified, apart from building a
+// missing arena), returning the labeling and statistics. Exposed separately so benchmarks and diagnostic tools can
 // separate labeling cost from pruning cost.
 func (e *Engine) Label(req Request, doc *dom.Document) (*Labeling, Stats, error) {
 	return e.labelCtx(context.Background(), req, doc)
@@ -416,7 +360,8 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 		return nil, Stats{}, err
 	}
 	pol := e.PolicyFor(req.URI)
-	n := doc.NodeCount()
+	ar := doc.Arena()
+	n := ar.Len()
 	l := &labeler{
 		h:     e.Hierarchy,
 		rule:  pol.Conflict,
@@ -430,8 +375,8 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 	// the path runs once per (document, store generation) instead: the
 	// cached dense index set is intersected with the per-request subject
 	// filter already applied by applicable(), so the steady state does
-	// zero XPath work. The uncached branch is kept verbatim as the
-	// differential oracle.
+	// zero XPath work. With the index disabled every request evaluates
+	// every applicable path.
 	idx := e.AuthIndex()
 	var gen uint64
 	if idx != nil {
@@ -441,54 +386,28 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 	// effectiveness for its trace (the aggregate counters live on the
 	// index itself); plain ints, so untraced requests pay nothing.
 	sp := trace.SpanFromContext(ctx)
-	ar := doc.ArenaIfBuilt()
 	var idxHits, idxMisses int
 	collect := func(a *authz.Authorization, schema bool) error {
+		var set []int32
+		var err error
 		if idx != nil {
-			set, de, hit, err := idx.lookup(ctx, doc, gen, a)
-			if err != nil {
-				return fmt.Errorf("core: evaluating %s: %w", a, err)
-			}
+			var hit bool
+			set, hit, err = idx.lookup(ctx, doc, gen, a)
 			if hit {
 				idxHits++
 			} else {
 				idxMisses++
 			}
-			if ar != nil {
-				// The cached node-set is already a dense index set and the
-				// arena knows each index's kind: the collection phase never
-				// touches a tree node (and the entry's index→node table is
-				// never built).
-				for _, i := range set {
-					l.addIdx(int(i), ar.Kind(i) == dom.AttributeNode, a, schema)
-				}
-				return nil
-			}
-			table := de.nodeTable()
-			for _, i := range set {
-				l.add(table[i], a, schema)
-			}
-			return nil
+		} else {
+			set, err = a.SelectIndexesCtx(ctx, doc)
 		}
-		if ar != nil {
-			// Uncached arena collection stays in index space end to end;
-			// the pointer-tree route below remains the differential oracle
-			// for arena-less documents (clones, the prune oracle).
-			set, err := a.SelectIndexesCtx(ctx, doc)
-			if err != nil {
-				return fmt.Errorf("core: evaluating %s: %w", a, err)
-			}
-			for _, i := range set {
-				l.addIdx(int(i), ar.Kind(i) == dom.AttributeNode, a, schema)
-			}
-			return nil
-		}
-		nodes, err := a.SelectNodesCtx(ctx, doc)
 		if err != nil {
 			return fmt.Errorf("core: evaluating %s: %w", a, err)
 		}
-		for _, n := range nodes {
-			l.add(n, a, schema)
+		// The node-set is a dense index set and the arena knows each
+		// index's kind: the collection phase never touches a tree node.
+		for _, i := range set {
+			l.addIdx(int(i), ar.Kind(i) == dom.AttributeNode, a, schema)
 		}
 		return nil
 	}
@@ -505,17 +424,13 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 	if sp.Traced() && idx != nil {
 		sp.Lazyf("authindex: %d hits, %d misses", idxHits, idxMisses)
 	}
-	root := doc.DocumentElement()
-	if root == nil {
+	root := ar.DocumentElement()
+	if root < 0 {
 		return l.out, Stats{}, nil
 	}
-	if ar != nil {
-		l.labelArena(ar)
-	} else {
-		l.labelRoot(root)
-	}
+	l.visitElement(ar, root, nil)
 	stats := Stats{
-		Nodes:         doc.CountNodes(),
+		Nodes:         ar.CountElemAttrs(),
 		AuthsInstance: len(axml),
 		AuthsSchema:   len(adtd),
 	}
@@ -580,11 +495,6 @@ type labeler struct {
 	out   *Labeling
 }
 
-// add records that authorization a protects node n.
-func (l *labeler) add(n *dom.Node, a *authz.Authorization, schema bool) {
-	l.addIdx(n.Order, n.Type == dom.AttributeNode, a, schema)
-}
-
 // addIdx records that authorization a protects the node at dense
 // preorder index i. On attribute nodes the recursive types collapse
 // into their local counterparts: an attribute is a leaf of the tree,
@@ -640,14 +550,10 @@ func (l *labeler) signOf(auths []*authz.Authorization) Sign {
 	return l.rule.resolve(pos, neg)
 }
 
-// initialLabel computes the node's own 6-tuple from the authorizations
-// that name it (procedure initial_label of Figure 2).
-func (l *labeler) initialLabel(n *dom.Node) *Label {
-	return l.initialLabelIdx(n.Order)
-}
-
-// initialLabelIdx is initialLabel addressed by dense preorder index.
-func (l *labeler) initialLabelIdx(i int) *Label {
+// initialAt computes the own 6-tuple of the node at dense preorder
+// index i from the authorizations that name it (procedure
+// initial_label of Figure 2).
+func (l *labeler) initialAt(i int) *Label {
 	lab := l.out.atIndex(i)
 	if na := l.byIdx[i]; na != nil {
 		lab.L = l.signOf(na.instance[authz.Local])
@@ -660,50 +566,43 @@ func (l *labeler) initialLabelIdx(i int) *Label {
 	return lab
 }
 
-// labelRoot labels the root element and starts the preorder visit
-// (steps 4-6 of compute-view).
-func (l *labeler) labelRoot(root *dom.Node) {
-	lab := l.initialLabel(root)
-	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
-	for _, a := range root.Attrs {
-		l.labelAttr(a, lab)
+// visitElement implements procedure label(n,p) of Figure 2 for the
+// element at arena index i under propagated parent label p (nil for the
+// root element, which takes its own signs only; steps 4-6 of
+// compute-view start the preorder visit there). The element's recursive
+// slots take their own value when it carries a recursive authorization
+// of either strength (most specific object overrides) and the parent's
+// propagated value otherwise; the schema recursive slot propagates
+// analogously; the final sign is the first defined among
+// instance-strong, schema, and weak values. The sweep reads
+// kind/firstChild/nextSibling/attr-range words from the arena's
+// parallel arrays, and labels land in the dense Labeling by index.
+func (l *labeler) visitElement(ar *dom.Arena, i int32, p *Label) {
+	lab := l.initialAt(int(i))
+	if p != nil {
+		if lab.R == Epsilon && lab.RW == Epsilon {
+			lab.R = p.R
+			lab.RW = p.RW
+		}
+		lab.RD = FirstDef(lab.RD, p.RD)
 	}
-	for _, c := range root.Children {
-		if c.Type == dom.ElementNode {
-			l.labelElement(c, lab)
+	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
+	s, e := ar.Attrs(i)
+	for a := s; a < e; a++ {
+		l.visitAttr(int(a), lab)
+	}
+	for c := ar.FirstChild(i); c >= 0; c = ar.NextSibling(c) {
+		if ar.Kind(c) == dom.ElementNode {
+			l.visitElement(ar, c, lab)
 		}
 	}
 }
 
-// labelElement implements procedure label(n,p) for elements: n's
-// recursive slots take their own value when the node carries a
-// recursive authorization of either strength (most specific object
-// overrides) and the parent's propagated value otherwise; the schema
-// recursive slot propagates analogously; the final sign is the first
-// defined among instance-strong, schema, and weak values.
-func (l *labeler) labelElement(n *dom.Node, p *Label) {
-	lab := l.initialLabel(n)
-	if lab.R == Epsilon && lab.RW == Epsilon {
-		lab.R = p.R
-		lab.RW = p.RW
-	}
-	lab.RD = FirstDef(lab.RD, p.RD)
-	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
-	for _, a := range n.Attrs {
-		l.labelAttr(a, lab)
-	}
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode {
-			l.labelElement(c, lab)
-		}
-	}
-}
-
-// labelAttr implements label(n,p) for attribute nodes. Per Section 6.1
-// an attribute has no recursive slots, and Local authorizations on the
-// parent element propagate to it. Within each priority channel the
-// order is: the attribute's own sign, then the parent's local sign,
-// then the recursive sign in force at the parent:
+// visitAttr implements label(n,p) for the attribute at index i. Per
+// Section 6.1 an attribute has no recursive slots, and Local
+// authorizations on the parent element propagate to it. Within each
+// priority channel the order is: the attribute's own sign, then the
+// parent's local sign, then the recursive sign in force at the parent:
 //
 //	instance-strong:  L_n,  else L_p,  else R_p
 //	schema:           LD_n, else LD_p, else RD_p
@@ -720,54 +619,12 @@ func (l *labeler) labelElement(n *dom.Node, p *Label) {
 // work from; this reconstruction follows the prose of Sections 5 and
 // 6.1 and degenerates to the element rule's priorities in every case
 // both define. DESIGN.md records the reconstruction.)
-func (l *labeler) labelAttr(n *dom.Node, p *Label) {
-	l.labelAttrIdx(n.Order, p)
-}
-
-func (l *labeler) labelAttrIdx(i int, p *Label) {
-	lab := l.initialLabelIdx(i)
+func (l *labeler) visitAttr(i int, p *Label) {
+	lab := l.initialAt(i)
 	if lab.L == Epsilon && lab.LW == Epsilon {
 		lab.L = FirstDef(p.L, p.R)
 		lab.LW = FirstDef(p.LW, p.RW)
 	}
 	lab.LD = FirstDef(lab.LD, p.LD, p.RD)
 	lab.Final = FirstDef(lab.L, lab.LD, lab.LW)
-}
-
-// labelArena runs the propagation of labelRoot/labelElement/labelAttr
-// as a sweep over the arena's flat arrays: the same recursion over the
-// same preorder indexes, but each step reads kind/firstChild/
-// nextSibling/attr-range words from parallel []int32 arrays instead of
-// chasing Node pointers, and labels land in the dense Labeling slice by
-// index. Semantics are pinned identical to the tree walk by the arena
-// differential tests and FuzzArenaParity.
-func (l *labeler) labelArena(ar *dom.Arena) {
-	root := ar.DocumentElement()
-	if root < 0 {
-		return
-	}
-	l.labelElementArena(ar, root, nil)
-}
-
-// labelElementArena labels element index i under propagated parent
-// label p (nil for the root element, which takes its own signs only).
-func (l *labeler) labelElementArena(ar *dom.Arena, i int32, p *Label) {
-	lab := l.initialLabelIdx(int(i))
-	if p != nil {
-		if lab.R == Epsilon && lab.RW == Epsilon {
-			lab.R = p.R
-			lab.RW = p.RW
-		}
-		lab.RD = FirstDef(lab.RD, p.RD)
-	}
-	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
-	s, e := ar.Attrs(i)
-	for a := s; a < e; a++ {
-		l.labelAttrIdx(int(a), lab)
-	}
-	for c := ar.FirstChild(i); c >= 0; c = ar.NextSibling(c) {
-		if ar.Kind(c) == dom.ElementNode {
-			l.labelElementArena(ar, c, lab)
-		}
-	}
 }

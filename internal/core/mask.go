@@ -5,7 +5,7 @@ import "xmlsec/internal/dom"
 // Visibility computes the transformation step (Section 6.2) as a pure
 // function: instead of pruning a tree, it returns a visibility bitmask
 // over doc's dense node indexes in which a bit is set exactly for the
-// nodes the legacy PruneDoc would have kept. kept counts the surviving
+// nodes PruneDoc keeps. kept counts the surviving
 // elements and attributes (the unit of the paper's statistics).
 //
 // The semantics are PruneDoc's, unchanged: a subtree whose final labels
@@ -17,22 +17,14 @@ import "xmlsec/internal/dom"
 // visibility. The document node and prolog comments/PIs are always
 // visible (pruning never touched them either).
 //
-// When the document carries an arena (parser-built documents always
-// do) the sweep runs over the flat kind/parent/sibling arrays — linear
-// passes over cache-dense words; otherwise it walks the pointer tree,
-// which doubles as the independent implementation the arena
-// differential tests compare against. Neither doc nor lb is modified,
-// so any number of Visibility calls may run concurrently over one
-// shared immutable document.
+// The sweep runs over the arena's flat kind/parent/sibling arrays —
+// linear passes over cache-dense words (the arena is built on first
+// use for hand-built documents, under the build-before-share contract
+// of dom.Document.Arena). Neither doc nor lb is modified, so any number
+// of Visibility calls may run concurrently over one shared immutable
+// document.
 func Visibility(doc *dom.Document, lb *Labeling, pol Policy) (mask dom.Bitmask, kept int) {
-	if ar := doc.ArenaIfBuilt(); ar != nil {
-		return visibilityArena(ar, lb, pol)
-	}
-	return visibilityTree(doc, lb, pol)
-}
-
-// visibilityArena is the struct-of-arrays transformation sweep.
-func visibilityArena(ar *dom.Arena, lb *Labeling, pol Policy) (mask dom.Bitmask, kept int) {
+	ar := doc.Arena()
 	mask = dom.NewBitmask(ar.Len())
 	mask.Set(0) // the document node
 	for c := ar.FirstChild(0); c >= 0; c = ar.NextSibling(c) {
@@ -69,57 +61,6 @@ func visibilityArena(ar *dom.Arena, lb *Labeling, pol Policy) (mask dom.Bitmask,
 		}
 		if survives {
 			mask.Set(int(i))
-			kept++
-		}
-		return survives
-	}
-	visit(root)
-	return mask, kept
-}
-
-// visibilityTree is the pointer-walk transformation sweep, retained
-// for documents without an arena (hand-built trees, the clone oracle's
-// per-request copies) and as the independent implementation the arena
-// differential tests compare against.
-func visibilityTree(doc *dom.Document, lb *Labeling, pol Policy) (mask dom.Bitmask, kept int) {
-	mask = dom.NewBitmask(doc.NodeCount())
-	mask.Set(doc.Node.Order)
-	for _, c := range doc.Node.Children {
-		if c.Type != dom.ElementNode {
-			mask.Set(c.Order)
-		}
-	}
-	root := doc.DocumentElement()
-	if root == nil {
-		return mask, 0
-	}
-	var visit func(n *dom.Node) bool
-	visit = func(n *dom.Node) bool {
-		selfVisible := pol.visible(lb.FinalOf(n))
-		survives := selfVisible
-		for _, a := range n.Attrs {
-			if pol.visible(lb.FinalOf(a)) {
-				mask.Set(a.Order)
-				kept++
-				survives = true
-			}
-		}
-		for _, c := range n.Children {
-			switch c.Type {
-			case dom.ElementNode:
-				if visit(c) {
-					survives = true
-				}
-			default:
-				// Character data belongs to its containing element and
-				// is withheld from elements kept only as structure.
-				if selfVisible {
-					mask.Set(c.Order)
-				}
-			}
-		}
-		if survives {
-			mask.Set(n.Order)
 			kept++
 		}
 		return survives

@@ -51,9 +51,8 @@ func TestMergePreservationProperty(t *testing.T) {
 		if view.Empty() {
 			continue
 		}
-		// The original nodes that survived into the view. OriginOf is
-		// pipeline-agnostic: the Origin map under the legacy clone
-		// pipeline, visibility-gated identity under the mask pipeline.
+		// The original nodes that survived into the view: OriginOf is
+		// the visibility-gated identity.
 		visibleOrig := make(map[*dom.Node]bool)
 		view.Doc.Walk(func(n *dom.Node) bool {
 			if o := view.OriginOf(n); o != nil {

@@ -7,8 +7,11 @@ import (
 )
 
 // NaiveLabel computes the same final labels as Label, but without the
-// paper's efficiency machinery. It is the baseline for experiment E5
-// ("fast on-line computation" of views): correctness-equivalent, so the
+// paper's efficiency machinery: it is Figure 2's per-node definition,
+// evaluated over the pointer tree. Followed by PruneDoc on a copy of
+// the document it is the specification oracle the view pipeline is
+// tested against, and it is the baseline for experiment E5 ("fast
+// on-line computation" of views): correctness-equivalent, so the
 // benchmark comparison isolates the algorithmic choices.
 //
 // Two ingredients of the fast path can be disabled independently:

@@ -16,12 +16,12 @@ import (
 // requests in the form of generic queries, with the obvious security
 // semantics: query(doc) ≡ query(view(doc)).
 //
-// Under the mask pipeline the expression is evaluated against the
-// lazily materialized view tree rather than node-set-filtered through
-// the mask: predicates, string-values and path steps would otherwise
-// run over the shared original and could leak hidden content (for
-// example //x[@secret='v'] observing a masked attribute). Materializing
-// restores the legacy evaluation domain exactly, and the sync.Once
+// The expression is evaluated against the lazily materialized view
+// tree rather than node-set-filtered through the mask: predicates,
+// string-values and path steps would otherwise run over the shared
+// original and could leak hidden content (for example
+// //x[@secret='v'] observing a masked attribute). Materializing gives
+// the query exactly the view's evaluation domain, and the sync.Once
 // cache amortizes it across queries on the same view.
 //
 // The result is a node-set in document order; nodes belong to the

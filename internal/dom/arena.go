@@ -9,9 +9,9 @@ type span struct{ off, n uint32 }
 // Arena is the struct-of-arrays document representation: every node of
 // a renumbered Document, laid out as parallel arrays indexed by the
 // node's dense preorder index (Node.Order). The pointer tree remains
-// the adapter for XPath evaluation, DTD validation and the clone-based
-// differential oracles; the arena is the primary representation on the
-// serve path, where the label, mask and unparse sweeps touch
+// the adapter for XPath fallback, DTD validation, merge, update apply
+// and the specification oracle's copies; the arena is the only
+// representation the view pipeline reads, where the label, mask and unparse sweeps touch
 // cache-dense arrays instead of chasing pointers.
 //
 // Layout invariants (see docs/ARENA.md):

@@ -3,9 +3,9 @@ package dom
 import "bytes"
 
 // arenaWriter serializes an arena through a visibility mask. Output is
-// byte-identical to the pointer-tree serializer (writeMasked) on the
-// same document and mask — the differential tests and FuzzArenaParity
-// pin this — but character data is copied straight out of the arena's
+// byte-identical to the pointer-tree serializer (writeNode) on a copy
+// pruned to the same visibility — the differential tests and
+// FuzzArenaParity pin this — but character data is copied straight out of the arena's
 // pre-escaped spans instead of being re-escaped per request, and
 // indentation comes from one growable pad instead of per-line
 // strings.Repeat allocations.

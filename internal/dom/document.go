@@ -106,6 +106,8 @@ func (d *Document) BuildArena() *Arena {
 // Arena returns the document's struct-of-arrays representation,
 // building it on first use. Like Renumber, the build is not safe to
 // race with readers: construct the arena before sharing the document.
+// Every parse builds one, so only hand-built documents, used by one
+// goroutine, ever take the build branch here.
 func (d *Document) Arena() *Arena {
 	if d.arena == nil {
 		return d.BuildArena()
@@ -114,13 +116,14 @@ func (d *Document) Arena() *Arena {
 }
 
 // ArenaIfBuilt returns the document's arena, or nil if none has been
-// built for the current numbering. Serve-path sweeps use this to pick
-// the array layout when the parser provided one and fall back to
-// pointer walks (the differential oracle) otherwise.
+// built for the current numbering. XPath and authorization node-set
+// evaluation use it to pick the array layout when one exists and the
+// pointer tree otherwise.
 func (d *Document) ArenaIfBuilt() *Arena { return d.arena }
 
-// DropArena discards the cached arena, forcing pointer-tree code
-// paths; benchmarks use it to measure the tree baseline.
+// DropArena discards the cached arena, so that unmasked serialization
+// and XPath evaluation read the pointer tree: callers that edit a
+// parsed document in place use it before serializing the edits.
 func (d *Document) DropArena() { d.arena = nil }
 
 // NodeCount returns the number of nodes in the document as of the last
@@ -139,44 +142,7 @@ func (d *Document) NodeCount() int {
 
 // Clone returns a deep copy of the document, renumbered.
 func (d *Document) Clone() *Document {
-	c, _ := d.CloneWithMap()
-	return c
-}
-
-// CloneWithMap returns a deep copy of the document together with the
-// mapping from each copied node back to its original — the provenance
-// the write-through-views merge needs to translate view nodes into
-// authorization targets on the original tree.
-func (d *Document) CloneWithMap() (*Document, map[*Node]*Node) {
-	origin := make(map[*Node]*Node)
-	var cloneNode func(n *Node) *Node
-	cloneNode = func(n *Node) *Node {
-		c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, Order: n.Order, Defaulted: n.Defaulted}
-		origin[c] = n
-		for _, a := range n.Attrs {
-			ac := cloneNode(a)
-			ac.Parent = c
-			c.Attrs = append(c.Attrs, ac)
-		}
-		for _, ch := range n.Children {
-			cc := cloneNode(ch)
-			cc.Parent = c
-			c.Children = append(c.Children, cc)
-		}
-		return c
-	}
-	c := &Document{
-		Node:       cloneNode(d.Node),
-		Version:    d.Version,
-		Encoding:   d.Encoding,
-		Standalone: d.Standalone,
-	}
-	if d.DocType != nil {
-		dt := *d.DocType
-		c.DocType = &dt
-	}
-	c.Renumber()
-	return c, origin
+	return d.CloneMasked(nil)
 }
 
 // CloneMasked returns a deep copy of the document restricted to the
@@ -185,9 +151,9 @@ func (d *Document) CloneWithMap() (*Document, map[*Node]*Node) {
 // visible under an invisible ancestor, so no content is lost). A nil
 // mask clones everything. The copy is renumbered.
 //
-// This materializes a masked view as an ordinary document — the same
-// tree the legacy clone-then-prune pipeline produced — for consumers
-// that need a standalone tree (validation, offline tools). The serve
+// This materializes a masked view as an ordinary document — the tree
+// PruneDoc leaves of a labeled copy — for consumers that need a
+// standalone tree (validation, XPath queries, offline tools). The serve
 // path never calls it; it serializes through the mask instead.
 func (d *Document) CloneMasked(mask Bitmask) *Document {
 	var cloneNode func(n *Node) *Node

@@ -29,9 +29,11 @@ type WriteOptions struct {
 	// Mask, when non-nil, restricts serialization to the mask-visible
 	// nodes of the document: invisible elements, attributes and
 	// character data are skipped as if they had been pruned from the
-	// tree. This is the unparse step of the mask-based view pipeline —
-	// the output is byte-identical to serializing a clone pruned to the
-	// same visibility, without materializing that clone.
+	// tree. This is the unparse step of the view pipeline — the output
+	// is byte-identical to serializing a copy pruned to the same
+	// visibility, without materializing that copy. Masked output
+	// always comes from the arena, which is built on first use for a
+	// document that lacks one.
 	Mask Bitmask
 }
 
@@ -127,19 +129,16 @@ func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 		}
 		ew.str(">\n")
 	}
-	// The body: through the arena when one is built (pre-escaped spans,
-	// no per-line allocations), through the pointer tree otherwise. The
-	// two emit byte-identical output; FuzzArenaParity and the
-	// differential tests pin the equivalence.
-	if d.arena != nil {
-		d.arena.writeContent(ew, opts)
+	// The body: through the arena when one is built or a mask is given
+	// (pre-escaped spans, no per-line allocations), through the pointer
+	// tree otherwise. The two emit byte-identical output;
+	// FuzzArenaParity and the differential tests pin the equivalence.
+	if d.arena != nil || opts.Mask != nil {
+		d.Arena().writeContent(ew, opts)
 		return ew.err
 	}
 	for _, c := range d.Node.Children {
-		if !opts.Mask.Visible(c) {
-			continue
-		}
-		writeMasked(ew, c, opts.Indent, 0, opts.Mask)
+		writeNode(ew, c, opts.Indent, 0)
 		if opts.Indent != "" {
 			ew.str("\n")
 		}
@@ -171,15 +170,12 @@ func MarkupString(n *Node) string {
 	return b.String()
 }
 
-// hasElementContent reports whether n's mask-visible children are
-// exclusively elements, comments and PIs (possibly with whitespace-only
-// text), so that pretty-printing may safely indent them.
-func hasElementContent(n *Node, mask Bitmask) bool {
+// hasElementContent reports whether n's children are exclusively
+// elements, comments and PIs (possibly with whitespace-only text), so
+// that pretty-printing may safely indent them.
+func hasElementContent(n *Node) bool {
 	any := false
 	for _, c := range n.Children {
-		if !mask.Visible(c) {
-			continue
-		}
 		switch c.Type {
 		case TextNode, CDATANode:
 			if strings.TrimSpace(c.Data) != "" {
@@ -194,44 +190,24 @@ func hasElementContent(n *Node, mask Bitmask) bool {
 
 // writeNode serializes the full subtree rooted at n.
 func writeNode(w *errWriter, n *Node, indent string, depth int) {
-	writeMasked(w, n, indent, depth, nil)
-}
-
-// writeMasked serializes the subtree rooted at n, emitting only
-// mask-visible nodes (a nil mask emits everything). The caller has
-// already established that n itself is visible.
-func writeMasked(w *errWriter, n *Node, indent string, depth int, mask Bitmask) {
 	switch n.Type {
 	case ElementNode:
 		w.str("<")
 		w.str(n.Name)
 		for _, a := range n.Attrs {
-			if !mask.Visible(a) {
-				continue
-			}
 			w.str(" ")
 			w.str(a.Name)
 			w.str(`="`)
 			w.str(EscapeAttr(a.Data))
 			w.str(`"`)
 		}
-		empty := true
-		for _, c := range n.Children {
-			if mask.Visible(c) {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		if len(n.Children) == 0 {
 			w.str("/>")
 			return
 		}
 		w.str(">")
-		pretty := indent != "" && hasElementContent(n, mask)
+		pretty := indent != "" && hasElementContent(n)
 		for _, c := range n.Children {
-			if !mask.Visible(c) {
-				continue
-			}
 			if pretty {
 				if c.Type == TextNode && strings.TrimSpace(c.Data) == "" {
 					continue
@@ -239,7 +215,7 @@ func writeMasked(w *errWriter, n *Node, indent string, depth int, mask Bitmask) 
 				w.str("\n")
 				w.str(strings.Repeat(indent, depth+1))
 			}
-			writeMasked(w, c, indent, depth+1, mask)
+			writeNode(w, c, indent, depth+1)
 		}
 		if pretty {
 			w.str("\n")
@@ -285,9 +261,7 @@ func writeMasked(w *errWriter, n *Node, indent string, depth int, mask Bitmask) 
 		w.str(`"`)
 	case DocumentNode:
 		for _, c := range n.Children {
-			if mask.Visible(c) {
-				writeMasked(w, c, indent, depth, mask)
-			}
+			writeNode(w, c, indent, depth)
 		}
 	}
 }

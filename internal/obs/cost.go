@@ -28,7 +28,7 @@ import "sync"
 type CostCard struct {
 	// Class is the requester's authorization-equivalence class
 	// (subjects.ClassID), or -1 when the request was not classified
-	// (cache disabled, legacy triple keying, unresolvable requester).
+	// (cache disabled, unresolvable requester).
 	Class int64 `json:"class"`
 
 	// NodesLabeled counts element+attribute nodes run through label

@@ -109,9 +109,9 @@ func TestViewCacheBypassedWithTimeBoundedAuths(t *testing.T) {
 
 func TestViewCacheLRUEviction(t *testing.T) {
 	c := newViewCache(2)
-	k1 := viewKey{user: "a", uri: "1"}
-	k2 := viewKey{user: "a", uri: "2"}
-	k3 := viewKey{user: "a", uri: "3"}
+	k1 := viewKey{class: 1, uri: "1"}
+	k2 := viewKey{class: 1, uri: "2"}
+	k3 := viewKey{class: 1, uri: "3"}
 	c.put(k1, &ProcessResult{XML: "1"})
 	c.put(k2, &ProcessResult{XML: "2"})
 	if _, ok := c.get(k1); !ok {
@@ -131,6 +131,60 @@ func TestViewCacheLRUEviction(t *testing.T) {
 	c.put(k3, &ProcessResult{XML: "3b"})
 	if got, _ := c.get(k3); got.XML != "3b" {
 		t.Error("put should replace existing entries")
+	}
+}
+
+// TestViewCacheDropsSupersededEntries: every cache key carries the
+// site-wide generations, so after a commit no earlier entry can ever
+// be looked up again. Installing the first entry under the new
+// generations must drop them instead of leaving them — and the
+// document generation each pins — to wait for LRU eviction.
+func TestViewCacheDropsSupersededEntries(t *testing.T) {
+	site := labSite(t).EnableViewCache(16)
+	for _, rq := range []subjects.Requester{
+		labexample.Tom,
+		{User: "Sam", IP: "130.89.56.8", Host: "adminhost.lab.com"},
+		{User: "anonymous", IP: "200.1.2.3", Host: "outside.example.com"},
+	} {
+		if _, err := site.Process(rq, labexample.DocURI); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := site.CacheEntries(); n < 2 {
+		t.Fatalf("setup filled %d entries, want several classes cached", n)
+	}
+	if err := site.PutDocument(labexample.DocURI, labexample.DocSource); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := site.Process(labexample.Tom, labexample.DocURI); err != nil {
+		t.Fatal(err)
+	}
+	if n := site.CacheEntries(); n != 1 {
+		t.Errorf("cache holds %d entries after a commit and one read, want 1 (superseded entries dropped)", n)
+	}
+}
+
+// TestViewKeySupersededBy pins the dominance rule: all four
+// generations at or below, and at least one strictly below.
+func TestViewKeySupersededBy(t *testing.T) {
+	n := viewKey{class: 1, uri: "d", authGen: 2, docGen: 5, polGen: 1, dirGen: 3}
+	older := n
+	older.docGen = 4
+	if !older.supersededBy(n) {
+		t.Error("an older document generation is not superseded")
+	}
+	if n.supersededBy(n) {
+		t.Error("a key supersedes itself")
+	}
+	other := n
+	other.class, other.uri = 2, "e"
+	if n.supersededBy(other) || other.supersededBy(n) {
+		t.Error("class or document alone made a key superseded")
+	}
+	mixed := n
+	mixed.docGen, mixed.authGen = 4, 3
+	if mixed.supersededBy(n) || n.supersededBy(mixed) {
+		t.Error("incomparable generation tuples treated as ordered")
 	}
 }
 

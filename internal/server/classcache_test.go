@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"regexp"
@@ -14,7 +15,9 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/labexample"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
+	"xmlsec/internal/trace"
 	"xmlsec/internal/workload"
 )
 
@@ -134,33 +137,48 @@ func TestViewCacheInvalidatedByMembershipChange(t *testing.T) {
 	}
 }
 
-// TestTripleKeyedCacheNormalizesIdentity: in legacy triple mode, ""
-// and "anonymous" are the same requester, and host names are
-// case-insensitive; un-normalized keying split these into duplicate
-// entries (and doubled the compute).
-func TestTripleKeyedCacheNormalizesIdentity(t *testing.T) {
-	site := labSite(t).EnableTripleKeyedViewCache(16)
+// TestClassKeyedCacheNormalizesIdentity: "" and "anonymous" are the
+// same requester, and host names are case-insensitive. The variants
+// must resolve to one class, share one cache entry, and the repeat
+// visits must hit the class memo (one normalized memo slot) instead of
+// re-deriving the class; un-normalized identities would split into
+// duplicate memo slots and recompute coverage.
+func TestClassKeyedCacheNormalizesIdentity(t *testing.T) {
+	site := labSite(t).EnableViewCache(16)
 	variants := []subjects.Requester{
 		{User: "", IP: "9.9.9.9", Host: "x.bld2.it"},
 		{User: "anonymous", IP: "9.9.9.9", Host: "x.bld2.it"},
 		{User: "", IP: "9.9.9.9", Host: "X.Bld2.IT"},
 	}
-	for _, rq := range variants {
-		if _, err := site.Process(rq, labexample.DocURI); err != nil {
+	classes := map[int64]bool{}
+	for i, rq := range variants {
+		card := &obs.CostCard{}
+		ctx := trace.WithRequest(context.Background(), fmt.Sprintf("v%d", i), card)
+		if _, err := site.ProcessContext(ctx, rq, labexample.DocURI); err != nil {
 			t.Fatal(err)
 		}
+		classes[card.Class] = true
+		if i > 0 && card.ClassMemoHits != 1 {
+			t.Errorf("variant %d (%+v) missed the class memo", i, rq)
+		}
+	}
+	if len(classes) != 1 {
+		t.Errorf("variants resolved to %d classes, want 1", len(classes))
+	}
+	if n := site.classes.Inspect().MemoLen; n != 1 {
+		t.Errorf("class memo holds %d requesters, want 1 normalized identity", n)
 	}
 	hits, misses := site.CacheStats()
 	if misses != 1 || hits != 2 {
-		t.Errorf("cache stats = %d hits / %d misses, want 2/1 (one normalized entry)", hits, misses)
+		t.Errorf("cache stats = %d hits / %d misses, want 2/1 (one class entry)", hits, misses)
 	}
 	if n := site.CacheEntries(); n != 1 {
-		t.Errorf("cache holds %d entries for one normalized identity, want 1", n)
+		t.Errorf("cache holds %d entries for one class, want 1", n)
 	}
 }
 
-// genSite builds a Site over the synthetic workload so the three cache
-// configurations below can be compared over identical content.
+// genSite builds a Site over the synthetic workload so cached and
+// uncached configurations can be compared over identical content.
 func genSite(t *testing.T, cfg workload.AuthConfig) *Site {
 	t.Helper()
 	site := NewSite()
@@ -177,10 +195,10 @@ func genSite(t *testing.T, cfg workload.AuthConfig) *Site {
 }
 
 // TestClassKeyedCacheDifferential is the oracle for class keying: over
-// a randomized policy and population, a class-keyed cache, a
-// triple-keyed cache, and no cache at all must serve byte-identical
-// views to every requester — including across policy mutations and
-// repeat visits that exercise cache hits.
+// a randomized policy and population, a class-keyed cache and no cache
+// at all must serve byte-identical views to every requester —
+// including across policy mutations and repeat visits that exercise
+// cache hits.
 func TestClassKeyedCacheDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
 		cfg := workload.AuthConfig{
@@ -191,24 +209,18 @@ func TestClassKeyedCacheDifferential(t *testing.T) {
 			Seed:              seed * 31,
 		}.Norm()
 		classSite := genSite(t, cfg).EnableViewCache(64)
-		tripleSite := genSite(t, cfg).EnableTripleKeyedViewCache(64)
 		plainSite := genSite(t, cfg)
 
 		check := func(round string, rq subjects.Requester) {
 			t.Helper()
 			want, wantErr := plainSite.Process(rq, cfg.URI)
-			for name, s := range map[string]*Site{"class": classSite, "triple": tripleSite} {
-				got, err := s.Process(rq, cfg.URI)
-				if (err == nil) != (wantErr == nil) ||
-					(err != nil && !errors.Is(err, wantErr) && err.Error() != wantErr.Error()) {
-					t.Fatalf("seed %d %s: %s-keyed error %v, uncached %v (rq %s)", seed, round, name, err, wantErr, rq)
-				}
-				if err != nil {
-					continue
-				}
-				if got.XML != want.XML {
-					t.Fatalf("seed %d %s: %s-keyed cache served different bytes to %s", seed, round, name, rq)
-				}
+			got, err := classSite.Process(rq, cfg.URI)
+			if (err == nil) != (wantErr == nil) ||
+				(err != nil && !errors.Is(err, wantErr) && err.Error() != wantErr.Error()) {
+				t.Fatalf("seed %d %s: class-keyed error %v, uncached %v (rq %s)", seed, round, err, wantErr, rq)
+			}
+			if err == nil && got.XML != want.XML {
+				t.Fatalf("seed %d %s: class-keyed cache served different bytes to %s", seed, round, rq)
 			}
 		}
 		requesters := make([]subjects.Requester, 0, 14)
@@ -226,10 +238,10 @@ func TestClassKeyedCacheDifferential(t *testing.T) {
 		for _, rq := range requesters {
 			check("warm", rq) // served from cache where enabled
 		}
-		// Mutate the policy identically on all three sites; caches must
+		// Mutate the policy identically on both sites; the cache must
 		// turn over, not replay.
 		grant := fmt.Sprintf(`<<g0,*,*>,%s://%s,read,-,R>`, cfg.URI, workload.ElemName(2, 1))
-		for _, s := range []*Site{classSite, tripleSite, plainSite} {
+		for _, s := range []*Site{classSite, plainSite} {
 			if err := s.Auths.Add(authz.InstanceLevel, authz.MustParse(grant)); err != nil {
 				t.Fatal(err)
 			}

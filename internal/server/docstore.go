@@ -21,8 +21,7 @@ type StoredDoc struct {
 	// empty for DTD-less documents.
 	DTDURI string
 	// Doc is the parsed tree (attribute defaults applied) — the
-	// adapter XPath evaluation, validation and the differential
-	// oracles walk.
+	// adapter XPath fallback, validation, merge and update apply walk.
 	Doc *dom.Document
 	// Arena is the struct-of-arrays representation of Doc, built at
 	// parse time; the serve path's label/mask/unparse sweeps run over

@@ -111,11 +111,10 @@ func (s *Site) handleSlowz(w http.ResponseWriter, r *http.Request) {
 
 // cachezResponse is the body of GET /debug/cachez.
 type cachezResponse struct {
-	LegacyTriple bool             `json:"legacy_triple,omitempty"`
-	Hits         uint64           `json:"hits"`
-	Misses       uint64           `json:"misses"`
-	Coalesced    uint64           `json:"coalesced"`
-	Entries      []CacheEntryInfo `json:"entries"`
+	Hits      uint64           `json:"hits"`
+	Misses    uint64           `json:"misses"`
+	Coalesced uint64           `json:"coalesced"`
+	Entries   []CacheEntryInfo `json:"entries"`
 }
 
 // handleCachez serves GET /debug/cachez: every cached view with its
@@ -127,11 +126,10 @@ func (s *Site) handleCachez(w http.ResponseWriter, r *http.Request) {
 	}
 	hits, misses := s.cache.Stats()
 	s.writeJSON(w, cachezResponse{
-		LegacyTriple: s.cache.legacyTriple,
-		Hits:         hits,
-		Misses:       misses,
-		Coalesced:    s.cache.Coalesced(),
-		Entries:      s.cache.Entries(),
+		Hits:      hits,
+		Misses:    misses,
+		Coalesced: s.cache.Coalesced(),
+		Entries:   s.cache.Entries(),
 	})
 }
 

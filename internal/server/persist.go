@@ -357,20 +357,29 @@ func (s *Site) PutDocument(uri, source string) error {
 func (s *Site) PutDocumentContext(ctx context.Context, uri, source string) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
+	_, err := s.putDocumentLocked(ctx, uri, source)
+	return err
+}
+
+// putDocumentLocked is PutDocumentContext for callers that already
+// hold persistMu (the write-through-views update, which must not let
+// another write slide between its snapshot and its commit). It returns
+// the committed document.
+func (s *Site) putDocumentLocked(ctx context.Context, uri, source string) (*StoredDoc, error) {
 	sd, err := s.Docs.prepareDocument(uri, source)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m := mutation{Op: "doc", URI: uri, Source: source, PostHash: contentHash(source)}
 	if prev := s.Docs.Doc(uri); prev != nil {
 		m.PreHash = contentHash(prev.Source)
 	}
 	if err := s.logMutation(ctx, m); err != nil {
-		return err
+		return nil, err
 	}
 	s.Docs.commitDocument(sd)
 	s.maybeCompact()
-	return nil
+	return sd, nil
 }
 
 // PutDTD registers a DTD durably.

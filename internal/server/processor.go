@@ -49,8 +49,7 @@ type Site struct {
 	ParsePerRequest bool
 
 	// cache, when non-nil, memoizes processed views per equivalence
-	// class (or, in legacy mode, per requester triple) and document;
-	// see EnableViewCache.
+	// class and document; see EnableViewCache.
 	cache *viewCache
 
 	// classes partitions requesters into authorization-equivalence
@@ -255,37 +254,33 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 	if useCache {
 		polGen := s.Engine.PolicyGeneration()
 		dirGen := s.Directory.Generation()
-		if s.cache.legacyTriple || s.classes == nil {
-			key = tripleKey(rq, uri, authGen, docGen, polGen, dirGen)
+		// Collapse the requester into its authorization-equivalence
+		// class: the view depends on the requester only through the set
+		// of applicable authorizations, so every requester in the class
+		// shares one cache entry however large the population.
+		csp := trace.StartChild(ctx, "class.resolve")
+		class, outcome, cerr := s.classes.ResolveWithOutcome(s.Engine.Hierarchy, rq, authGen, dirGen,
+			s.Auths.SubjectUniverse)
+		if csp.Traced() {
+			csp.Lazyf("class %d", class)
+		}
+		csp.End()
+		if card != nil && cerr == nil {
+			card.Class = int64(class)
+			if outcome.MemoHit {
+				card.ClassMemoHits++
+			}
+			if outcome.Rebuilt {
+				card.ClassRebuilds++
+			}
+		}
+		if cerr != nil {
+			// A requester that cannot be placed in ASH (malformed IP)
+			// has no class; serve it uncached and let the engine report
+			// the error in full.
+			useCache = false
 		} else {
-			// Collapse the requester into its authorization-equivalence
-			// class: the view depends on the requester only through the
-			// set of applicable authorizations, so every requester in the
-			// class shares one cache entry however large the population.
-			csp := trace.StartChild(ctx, "class.resolve")
-			class, outcome, cerr := s.classes.ResolveWithOutcome(s.Engine.Hierarchy, rq, authGen, dirGen,
-				s.Auths.SubjectUniverse)
-			if csp.Traced() {
-				csp.Lazyf("class %d", class)
-			}
-			csp.End()
-			if card != nil && cerr == nil {
-				card.Class = int64(class)
-				if outcome.MemoHit {
-					card.ClassMemoHits++
-				}
-				if outcome.Rebuilt {
-					card.ClassRebuilds++
-				}
-			}
-			if cerr != nil {
-				// A requester that cannot be placed in ASH (malformed IP)
-				// has no class; serve it uncached and let the engine
-				// report the error in full.
-				useCache = false
-			} else {
-				key = classKey(class, uri, authGen, docGen, polGen, dirGen)
-			}
+			key = classKey(class, uri, authGen, docGen, polGen, dirGen)
 		}
 	}
 	if useCache {
@@ -381,11 +376,7 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 	// buffer: the shared document's arena is swept directly, emitting
 	// only mask-visible nodes, with no per-request tree to build or
 	// discard and no per-request buffer growth once the pool is warm.
-	hint := 0
-	if ar := doc.ArenaIfBuilt(); ar != nil {
-		hint = ar.SizeHint()
-	}
-	b := dom.GetBuffer(hint)
+	b := dom.GetBuffer(doc.Arena().SizeHint())
 	err = view.WriteXML(b, dom.WriteOptions{
 		Indent: "  ",
 		// The view's DOCTYPE keeps the same system identifier; the
@@ -423,18 +414,6 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 func (s *Site) EnableViewCache(max int) *Site {
 	s.cache = newViewCache(max)
 	s.classes = subjects.NewClassIndex()
-	return s
-}
-
-// EnableTripleKeyedViewCache turns on the view cache in legacy mode:
-// entries keyed per normalized ⟨user, ip, host⟩ triple instead of per
-// equivalence class. One entry per distinct requester makes this mode
-// scale with the population; it is retained as the differential-
-// testing oracle for class keying, not as a serving configuration.
-func (s *Site) EnableTripleKeyedViewCache(max int) *Site {
-	s.cache = newViewCache(max)
-	s.cache.legacyTriple = true
-	s.classes = nil
 	return s
 }
 

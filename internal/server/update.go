@@ -58,6 +58,13 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 // written into the audit record.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
 	defer func() { s.auditWrite(ctx, rq, uri, err) }()
+	// The whole snapshot→judge→merge→commit sequence runs under the
+	// persistence lock, as ApplyUpdate's does: the merge rebuilds the
+	// document from the snapshotted tree and write authority is judged
+	// against it, so no other write may commit in between — it would be
+	// silently overwritten by this one.
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	sd := s.Docs.Doc(uri)
 	if sd == nil {
 		return ErrNotFound
@@ -129,8 +136,9 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	oldDoc := sd.Doc
 	// The replacement is durable before it is visible: the WAL record
 	// is appended (and, under -fsync always, flushed) before the commit
-	// swaps the parsed tree in, inside PutDocumentContext.
-	if err := s.PutDocumentContext(ctx, uri, merged.String()); err != nil {
+	// swaps the parsed tree in, inside putDocumentLocked.
+	nd, err := s.putDocumentLocked(ctx, uri, merged.String())
+	if err != nil {
 		return err
 	}
 	// The PUT replaced the parsed tree: release the superseded document
@@ -139,9 +147,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// requester's labeling finds warm node-sets.
 	if idx := s.Engine.AuthIndex(); idx != nil {
 		idx.InvalidateDoc(oldDoc)
-		if nd := s.Docs.Doc(uri); nd != nil {
-			s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
-		}
+		s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
 	}
 	return nil
 }

@@ -144,8 +144,10 @@ func TestArenaDTDDefaultedAttr(t *testing.T) {
 // parser accepts, the struct-of-arrays arena must mirror the pointer
 // tree node for node, the Materialize adapter must serialize to the
 // same bytes as the original tree, and the full label→mask→unparse
-// cycle over the arena must be byte-identical to the clone-label-prune
-// pipeline (which never sees an arena) under a seed-derived policy.
+// cycle over the arena must be byte-identical, under a seed-derived
+// policy, to the specification oracle: the per-node definition
+// (NaiveLabel, tree XPath, no propagation) and PruneDoc on an
+// arena-less copy.
 func FuzzArenaParity(f *testing.F) {
 	seeds := []string{
 		`<a/>`,
@@ -179,9 +181,9 @@ func FuzzArenaParity(f *testing.F) {
 			t.Fatalf("Materialize round-trip diverged:\narena: %q\ntree:  %q", got, want)
 		}
 
-		// Full-cycle differential under a derived policy: the mask
-		// pipeline labels and serializes over the arena; the clone
-		// pipeline copies the tree (clones carry no arena) and prunes.
+		// Full-cycle differential under a derived policy: the pipeline
+		// labels and serializes over the arena; the oracle labels a copy
+		// (copies carry no arena) node by node and prunes it.
 		dir := subjects.NewDirectory()
 		if err := dir.AddUser("u"); err != nil {
 			t.Fatal(err)
@@ -199,28 +201,37 @@ func FuzzArenaParity(f *testing.F) {
 		}
 		mv, err := eng.ComputeView(req, res.Doc)
 		if err != nil {
-			t.Fatalf("mask pipeline: %v", err)
+			t.Fatalf("view pipeline: %v", err)
 		}
-		cv, err := eng.ComputeViewClone(req, res.Doc)
+		spec := res.Doc.Clone()
+		lb, err := eng.NaiveLabel(req, spec, true)
 		if err != nil {
-			t.Fatalf("clone pipeline: %v", err)
+			t.Fatalf("specification oracle: %v", err)
 		}
-		if mv.Empty() != cv.Empty() {
-			t.Fatalf("emptiness disagrees: mask %v, clone %v", mv.Empty(), cv.Empty())
+		want := core.Stats{Nodes: spec.CountNodes()}
+		want.Plus, want.Minus, want.Eps = lb.Count()
+		nonEmpty := core.PruneDoc(spec, lb, eng.PolicyFor(req.URI))
+		want.Kept = spec.CountNodes()
+		if mv.Empty() == nonEmpty {
+			t.Fatalf("emptiness disagrees: pipeline empty=%v, spec empty=%v", mv.Empty(), !nonEmpty)
 		}
-		if mv.Stats != cv.Stats {
-			t.Fatalf("stats disagree: mask %+v, clone %+v", mv.Stats, cv.Stats)
+		got := mv.Stats
+		got.AuthsInstance, got.AuthsSchema = 0, 0
+		if got != want {
+			t.Fatalf("stats disagree: pipeline %+v, spec %+v", got, want)
 		}
-		for _, opts := range []dom.WriteOptions{{}, {Indent: "  "}} {
+		for _, opts := range []dom.WriteOptions{
+			{}, {Indent: "  "}, {OmitDecl: true, OmitDocType: true}, {Indent: "\t", OmitDecl: true},
+		} {
 			var a, b strings.Builder
 			if err := mv.WriteXML(&a, opts); err != nil {
 				t.Fatalf("arena serialization: %v", err)
 			}
-			if err := cv.WriteXML(&b, opts); err != nil {
-				t.Fatalf("clone serialization: %v", err)
+			if err := spec.Write(&b, opts); err != nil {
+				t.Fatalf("spec serialization: %v", err)
 			}
 			if a.String() != b.String() {
-				t.Fatalf("masked serializations differ (opts %+v):\n--- arena ---\n%s\n--- clone ---\n%s",
+				t.Fatalf("masked serializations differ (opts %+v):\n--- arena ---\n%s\n--- spec ---\n%s",
 					opts, a.String(), b.String())
 			}
 		}

@@ -99,9 +99,9 @@ const defaultMaxEntityExpansion = 1 << 20
 // Result carries everything a parse produces.
 type Result struct {
 	// Doc is the document tree, renumbered in document order. It is
-	// the adapter view of the document — XPath evaluation, DTD
-	// validation and the clone-based differential oracles operate on
-	// it — and it carries the arena (Doc.Arena() returns Arena).
+	// the adapter view of the document — XPath fallback, DTD
+	// validation, merge and update apply operate on it — and it
+	// carries the arena (Doc.Arena() returns Arena).
 	Doc *dom.Document
 	// Arena is the struct-of-arrays representation of the same
 	// document, built at parse time: the primary artifact the serve

@@ -72,6 +72,7 @@ func buildArena(d *Document) *Arena {
 		raw:         make([]span, n),
 		esc:         make([]span, n),
 		defaulted:   NewBitmask(n),
+		bytes:       make([]byte, 0, arenaBytes(d.Node)),
 		syms:        newSymTab(),
 		version:     d.Version,
 		encoding:    d.Encoding,
@@ -96,7 +97,7 @@ func buildArena(d *Document) *Arena {
 		case AttributeNode:
 			a.name[i] = a.syms.intern(nd.Name)
 			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], EscapeAttr(nd.Data))
+			a.esc[i] = a.appendEsc(a.raw[i], nd.Data, true)
 			if nd.Defaulted {
 				a.defaulted.Set(int(i))
 			}
@@ -104,11 +105,11 @@ func buildArena(d *Document) *Arena {
 			a.sizeHint += len(nd.Name) + 4 + int(a.esc[i].n)
 		case TextNode:
 			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], EscapeText(nd.Data))
+			a.esc[i] = a.appendEsc(a.raw[i], nd.Data, false)
 			a.sizeHint += int(a.esc[i].n)
 		case CDATANode:
 			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendRaw(renderCDATA(nd.Data))
+			a.esc[i] = a.appendCDATA(nd.Data)
 			a.sizeHint += int(a.esc[i].n)
 		case CommentNode:
 			a.raw[i] = a.appendRaw(nd.Data)
@@ -141,6 +142,29 @@ func buildArena(d *Document) *Arena {
 	return a
 }
 
+// arenaBytes returns the exact size of the shared byte buffer for the
+// subtree rooted at nd, so buildArena allocates it once: every node's
+// raw data, plus its escaped form wherever escaping is not the
+// identity, plus each CDATA section's rendered markup.
+func arenaBytes(nd *Node) int {
+	n := len(nd.Data)
+	switch nd.Type {
+	case AttributeNode, TextNode:
+		if e := escapedLen(nd.Data, nd.Type == AttributeNode); e != len(nd.Data) {
+			n += e
+		}
+	case CDATANode:
+		n += cdataLen(nd.Data)
+	}
+	for _, at := range nd.Attrs {
+		n += arenaBytes(at)
+	}
+	for _, c := range nd.Children {
+		n += arenaBytes(c)
+	}
+	return n
+}
+
 // appendRaw copies s into the shared buffer and returns its span.
 func (a *Arena) appendRaw(s string) span {
 	sp := span{off: uint32(len(a.bytes)), n: uint32(len(s))}
@@ -148,35 +172,39 @@ func (a *Arena) appendRaw(s string) span {
 	return sp
 }
 
-// appendEsc returns the span for the escaped form of a raw span: when
-// escaping changed nothing the raw span is aliased, otherwise the
-// escaped bytes are appended separately.
-func (a *Arena) appendEsc(raw span, escaped string) span {
-	if int(raw.n) == len(escaped) && string(a.bytes[raw.off:raw.off+raw.n]) == escaped {
+// appendEsc returns the span for the escaped form of raw data s (whose
+// copy is the span raw): when escaping changes nothing the raw span is
+// aliased, otherwise the escaped bytes are appended separately.
+func (a *Arena) appendEsc(raw span, s string, attr bool) span {
+	if escapedLen(s, attr) == len(s) {
 		return raw
 	}
-	return a.appendRaw(escaped)
+	off := len(a.bytes)
+	a.bytes = appendEscaped(a.bytes, s, attr)
+	return span{off: uint32(off), n: uint32(len(a.bytes) - off)}
 }
 
-// renderCDATA pre-renders a CDATA body as the complete section markup,
+// cdataLen is the length of a CDATA body rendered by appendCDATA: each
+// "]]>" split adds one "]]><![CDATA[" (12 bytes) to the outer markup.
+func cdataLen(data string) int {
+	return len(data) + 12*(strings.Count(data, "]]>")+1)
+}
+
+// appendCDATA pre-renders a CDATA body as the complete section markup,
 // splitting on "]]>" exactly as the tree serializer does, so unparsing
 // the node is a single byte copy.
-func renderCDATA(data string) string {
-	var b strings.Builder
+func (a *Arena) appendCDATA(data string) span {
+	off := len(a.bytes)
 	for {
 		i := strings.Index(data, "]]>")
 		if i < 0 {
 			break
 		}
-		b.WriteString("<![CDATA[")
-		b.WriteString(data[:i+2])
-		b.WriteString("]]>")
+		a.bytes = append(append(append(a.bytes, "<![CDATA["...), data[:i+2]...), "]]>"...)
 		data = data[i+2:]
 	}
-	b.WriteString("<![CDATA[")
-	b.WriteString(data)
-	b.WriteString("]]>")
-	return b.String()
+	a.bytes = append(append(append(a.bytes, "<![CDATA["...), data...), "]]>"...)
+	return span{off: uint32(off), n: uint32(len(a.bytes) - off)}
 }
 
 // Len returns the number of nodes in the arena.

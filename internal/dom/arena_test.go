@@ -312,3 +312,31 @@ func TestArenaQueryHelpers(t *testing.T) {
 		t.Errorf("TextContent(document) = %q, want onetwo", got)
 	}
 }
+
+// TestArenaBufferSizedOnce: buildArena computes the exact size of the
+// shared byte buffer before filling it — raw data, escaped forms that
+// differ from it, rendered CDATA sections — so the buffer is allocated
+// once and never regrown, and the serialization stays byte-identical.
+func TestArenaBufferSizedOnce(t *testing.T) {
+	d := NewDocument()
+	root := NewElement("r")
+	root.SetAttr("plain", "value")
+	root.SetAttr("esc", "a<b & \"c\"\t\n\r")
+	root.SetAttr("bad", "\xff\xfe")
+	root.AppendChild(NewText("plain text"))
+	root.AppendChild(NewText("x < y && z > w\r"))
+	root.AppendChild(NewText("\xc3("))
+	root.AppendChild(NewCDATA("one ]]> two ]]]]>>"))
+	root.AppendChild(NewComment(" c "))
+	root.AppendChild(NewProcInst("pi", "data"))
+	root.AppendChild(NewElement("empty"))
+	d.SetDocumentElement(root)
+	want := d.String() // pointer-tree writer: no arena yet
+	a := d.BuildArena()
+	if len(a.bytes) != cap(a.bytes) {
+		t.Errorf("arena buffer: len %d, cap %d; want an exactly sized buffer", len(a.bytes), cap(a.bytes))
+	}
+	if got := d.String(); got != want {
+		t.Errorf("arena serialization differs:\n got %q\nwant %q", got, want)
+	}
+}

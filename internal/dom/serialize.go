@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // WriteOptions controls XML serialization ("unparsing" in the paper's
@@ -38,48 +39,87 @@ type WriteOptions struct {
 }
 
 // EscapeText escapes character data for inclusion as XML content.
-func EscapeText(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '\r':
-			b.WriteString("&#13;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// Invalid UTF-8 comes out as U+FFFD, one per offending byte. When
+// nothing needs escaping — the common case — s itself is returned.
+func EscapeText(s string) string { return escape(s, false) }
 
 // EscapeAttr escapes character data for inclusion in a double-quoted
-// attribute value.
-func EscapeAttr(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\t':
-			b.WriteString("&#9;")
-		case '\n':
-			b.WriteString("&#10;")
-		case '\r':
-			b.WriteString("&#13;")
-		default:
-			b.WriteRune(r)
-		}
+// attribute value, with the same U+FFFD and no-copy rules as
+// EscapeText.
+func EscapeAttr(s string) string { return escape(s, true) }
+
+// textEscapes and attrEscapes give the replacement of each ASCII byte
+// that must be escaped in content and in attribute values.
+var (
+	textEscapes = [utf8.RuneSelf]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
+	attrEscapes = [utf8.RuneSelf]string{'&': "&amp;", '<': "&lt;", '"': "&quot;", '\t': "&#9;", '\n': "&#10;", '\r': "&#13;"}
+)
+
+// replacementChar is the UTF-8 encoding of U+FFFD.
+const replacementChar = "\uFFFD"
+
+func escape(s string, attr bool) string {
+	n := escapedLen(s, attr)
+	if n == len(s) {
+		return s
 	}
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, n), s, attr))
+}
+
+// escapedLen returns the length of s once escaped. Every replacement —
+// an entity or character reference, or U+FFFD for an invalid byte — is
+// longer than what it replaces, so escapedLen(s) == len(s) exactly when
+// escaping is the identity.
+func escapedLen(s string, attr bool) int {
+	table := &textEscapes
+	if attr {
+		table = &attrEscapes
+	}
+	n := len(s)
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if rep := table[c]; rep != "" {
+				n += len(rep) - 1
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			n += len(replacementChar) - 1
+		}
+		i += size
+	}
+	return n
+}
+
+// appendEscaped appends the escaped form of s to dst, copying each run
+// of bytes that need no escaping in one append.
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	table := &textEscapes
+	if attr {
+		table = &attrEscapes
+	}
+	run := 0 // start of the pending unescaped run
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if table[c] != "" {
+				dst = append(append(dst, s[run:i]...), table[c]...)
+				run = i + 1
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			dst = append(append(dst, s[run:i]...), replacementChar...)
+			run = i + 1
+		}
+		i += size
+	}
+	return append(dst, s[run:]...)
 }
 
 // Write serializes the document to w using the given options.

@@ -183,3 +183,65 @@ func TestEscapePropertyNoRawSpecials(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEscapeBytesPinned pins the exact serialized bytes of every
+// escaped character and of invalid UTF-8, which is written as U+FFFD,
+// one per offending byte. Journaled update records carry
+// a hash of the serialized document, so a changed byte would make an
+// existing log fail recovery. Both serializers — the pointer-tree
+// writer and the arena writer, masked and unmasked — must agree.
+func TestEscapeBytesPinned(t *testing.T) {
+	const specials = "\xff & < > \" ' \t \n \r \xe6\x97\xa5\xe6\x9c \xef\xbf\xbd\xed\xa0\x80 ok"
+	wantText := "� &amp; &lt; &gt; \" ' \t \n &#13; 日�� ���� ok"
+	wantAttr := "� &amp; &lt; > &quot; ' &#9; &#10; &#13; 日�� ���� ok"
+	if got := EscapeText(specials); got != wantText {
+		t.Errorf("EscapeText = %q, want %q", got, wantText)
+	}
+	if got := EscapeAttr(specials); got != wantAttr {
+		t.Errorf("EscapeAttr = %q, want %q", got, wantAttr)
+	}
+	for _, s := range []string{"plain ascii", "日本語 ✓", ""} {
+		if EscapeText(s) != s || EscapeAttr(s) != s {
+			t.Errorf("valid text %q without specials must come back unchanged", s)
+		}
+	}
+
+	build := func() *Document {
+		d := NewDocument()
+		a := NewElement("a")
+		a.SetAttr("x", "\xff")
+		a.SetAttr("y", specials)
+		a.AppendChild(NewText("\xfe"))
+		b := NewElement("b")
+		b.AppendChild(NewText(specials))
+		a.AppendChild(b)
+		d.SetDocumentElement(a)
+		return d
+	}
+	want := "<?xml version=\"1.0\"?>\n" +
+		`<a x="` + "�" + `" y="` + wantAttr + `">` + "�" + `<b>` + wantText + `</b></a>`
+
+	tree := build()
+	if tree.ArenaIfBuilt() != nil {
+		t.Fatal("hand-built document unexpectedly carries an arena")
+	}
+	if got := tree.String(); got != want {
+		t.Errorf("tree writer:\n got %q\nwant %q", got, want)
+	}
+	arena := build()
+	arena.BuildArena()
+	if got := arena.String(); got != want {
+		t.Errorf("arena writer:\n got %q\nwant %q", got, want)
+	}
+	all := NewBitmask(arena.NodeCount())
+	for i := 0; i < arena.NodeCount(); i++ {
+		all.Set(i)
+	}
+	var b strings.Builder
+	if err := arena.Write(&b, WriteOptions{Mask: all}); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Errorf("masked arena writer:\n got %q\nwant %q", got, want)
+	}
+}

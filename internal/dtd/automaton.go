@@ -88,44 +88,59 @@ func (a *automaton) build(p *Particle) glushkov {
 	return g
 }
 
+// matchState is the reusable working memory of one Glushkov
+// simulation: the active position sets of the current and next step,
+// and a membership flag per position that deduplicates next. Automata
+// are shared between goroutines once compiled, so each validation owns
+// its state; reused across the elements of a document it makes
+// matching allocation-free.
+type matchState struct {
+	cur, next []int
+	active    []bool
+}
+
 // matches reports whether the sequence of child element names is
 // accepted by the content model, and on failure, the index of the first
 // offending child (len(seq) if the sequence ended too early).
-func (a *automaton) matches(seq []string) (bool, int) {
-	// state is the set of active positions; nil start state means
-	// "before any symbol".
-	cur := make(map[int]bool)
-	atStart := true
+func (a *automaton) matches(seq []string, st *matchState) (bool, int) {
+	if len(st.active) < len(a.names) {
+		st.active = make([]bool, len(a.names))
+	}
+	// cur is the set of active positions; before the first symbol the
+	// candidates are the model's first set instead.
+	cur := st.cur[:0]
 	for idx, sym := range seq {
-		next := make(map[int]bool)
-		if atStart {
+		next := st.next[:0]
+		step := func(f int) {
+			if a.names[f] == sym && !st.active[f] {
+				st.active[f] = true
+				next = append(next, f)
+			}
+		}
+		if idx == 0 {
 			for _, f := range a.first {
-				if a.names[f] == sym {
-					next[f] = true
-				}
+				step(f)
 			}
 		} else {
-			for pos := range cur {
+			for _, pos := range cur {
 				for _, f := range a.follow[pos] {
-					if a.names[f] == sym {
-						next[f] = true
-					}
+					step(f)
 				}
 			}
 		}
+		for _, f := range next {
+			st.active[f] = false
+		}
+		st.cur, st.next = next, cur
 		if len(next) == 0 {
 			return false, idx
 		}
 		cur = next
-		atStart = false
 	}
-	if atStart {
-		if a.nullable {
-			return true, 0
-		}
-		return false, 0
+	if len(seq) == 0 {
+		return a.nullable, 0
 	}
-	for pos := range cur {
+	for _, pos := range cur {
 		if a.last[pos] {
 			return true, 0
 		}
@@ -175,18 +190,14 @@ func (d *DTD) AcceptsSequence(name string, children []string) bool {
 		}
 		return true
 	case MixedContent:
-		allowed := make(map[string]bool, len(e.Mixed))
-		for _, m := range e.Mixed {
-			allowed[m] = true
-		}
 		for _, c := range children {
-			if !allowed[c] {
+			if !contains(e.Mixed, c) {
 				return false
 			}
 		}
 		return true
 	case ElementContent:
-		ok, _ := e.automatonFor().matches(children)
+		ok, _ := e.automatonFor().matches(children, new(matchState))
 		return ok
 	}
 	return false

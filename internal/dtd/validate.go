@@ -3,6 +3,7 @@ package dtd
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"xmlsec/internal/dom"
 )
@@ -92,6 +93,11 @@ type validator struct {
 	errs   ValidationErrors
 	ids    map[string]*dom.Node
 	idrefs []idref
+
+	// Scratch reused across elements: the child-name sequence of the
+	// element being checked and the content-model matcher's state.
+	seq   []string
+	match matchState
 }
 
 func (v *validator) errf(n *dom.Node, format string, args ...any) {
@@ -138,17 +144,13 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 			}
 		}
 	case MixedContent:
-		allowed := make(map[string]bool, len(decl.Mixed))
-		for _, m := range decl.Mixed {
-			allowed[m] = true
-		}
 		for _, c := range n.Children {
-			if c.Type == dom.ElementNode && !allowed[c.Name] {
+			if c.Type == dom.ElementNode && !contains(decl.Mixed, c.Name) {
 				v.errf(c, "element %q not allowed in mixed content of %q", c.Name, n.Name)
 			}
 		}
 	case ElementContent:
-		var seq []string
+		seq := v.seq[:0]
 		for _, c := range n.Children {
 			switch c.Type {
 			case dom.ElementNode:
@@ -159,7 +161,8 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 				}
 			}
 		}
-		if ok, at := decl.automatonFor().matches(seq); !ok {
+		v.seq = seq
+		if ok, at := decl.automatonFor().matches(seq, &v.match); !ok {
 			if at >= len(seq) {
 				v.errf(n, "content of %q ends prematurely: (%s) does not complete %s",
 					n.Name, strings.Join(seq, ","), decl.Model)
@@ -173,12 +176,8 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 
 func (v *validator) attributes(n *dom.Node) {
 	defs := v.dtd.Attlists[n.Name]
-	declared := make(map[string]*AttDef, len(defs))
-	for _, def := range defs {
-		declared[def.Name] = def
-	}
 	for _, a := range n.Attrs {
-		def := declared[a.Name]
+		def := v.dtd.AttDef(n.Name, a.Name)
 		if def == nil {
 			v.errf(a, "attribute %q is not declared for element %q", a.Name, n.Name)
 			continue
@@ -205,7 +204,7 @@ func (v *validator) attrValue(a *dom.Node, def *AttDef) {
 	val := a.Data
 	if def.Type != CDATAType {
 		// Tokenized types get additional whitespace normalization.
-		val = strings.Join(strings.Fields(val), " ")
+		val = normalizeTokens(val)
 	}
 	switch def.Type {
 	case CDATAType:
@@ -225,32 +224,30 @@ func (v *validator) attrValue(a *dom.Node, def *AttDef) {
 			v.idrefs = append(v.idrefs, idref{a, val})
 		}
 	case IDREFSType:
-		for _, tok := range strings.Fields(val) {
+		eachToken(val, func(tok string) {
 			if !IsName(tok) {
 				v.errf(a, "IDREFS token %q is not a Name", tok)
 			} else {
 				v.idrefs = append(v.idrefs, idref{a, tok})
 			}
-		}
+		})
 	case NMTokenType:
 		if !IsNmtoken(val) {
 			v.errf(a, "NMTOKEN value %q is not a name token", val)
 		}
 	case NMTokensType:
-		if len(strings.Fields(val)) == 0 {
+		if val == "" {
 			v.errf(a, "NMTOKENS value is empty")
 		}
-		for _, tok := range strings.Fields(val) {
+		eachToken(val, func(tok string) {
 			if !IsNmtoken(tok) {
 				v.errf(a, "NMTOKENS token %q is not a name token", tok)
 			}
-		}
+		})
 	case EntityType:
 		v.entityName(a, val)
 	case EntitiesType:
-		for _, tok := range strings.Fields(val) {
-			v.entityName(a, tok)
-		}
+		eachToken(val, func(tok string) { v.entityName(a, tok) })
 	case EnumType:
 		if !contains(def.Enum, val) {
 			v.errf(a, "value %q not in enumeration (%s)", val, strings.Join(def.Enum, "|"))
@@ -276,6 +273,29 @@ func (v *validator) entityName(a *dom.Node, name string) {
 		v.errf(a, "entity %q is not an unparsed entity", name)
 	case v.dtd.Notations[ent.NDataName] == nil:
 		v.errf(a, "entity %q uses undeclared notation %q", name, ent.NDataName)
+	}
+}
+
+// normalizeTokens applies tokenized-type normalization: whitespace runs
+// collapse to one space and leading and trailing whitespace go. An
+// ASCII value that is already normal is returned as is.
+func normalizeTokens(val string) string {
+	for i := 0; i < len(val); i++ {
+		switch c := val[i]; {
+		case c >= utf8.RuneSelf, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r',
+			c == ' ' && (i == 0 || i == len(val)-1 || val[i+1] == ' '):
+			return strings.Join(strings.Fields(val), " ")
+		}
+	}
+	return val
+}
+
+// eachToken calls f on each token of a normalized value, in order.
+func eachToken(val string, f func(tok string)) {
+	for val != "" {
+		tok, rest, _ := strings.Cut(val, " ")
+		f(tok)
+		val = rest
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
-	"xmlsec/internal/dtd"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/xmlparse"
@@ -54,8 +53,10 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 
 // UpdateContext is Update under a request context; a traced context
 // records the write path's phases (read view, replacement parse, write
-// labeling, merge, validation) as spans, and the trace's request ID is
-// written into the audit record.
+// labeling, merge) as spans, and the trace's request ID is written into
+// the audit record. The merged document is validated once, strictly,
+// when putDocumentLocked re-parses its text — before anything is
+// journaled — so an invalid merge changes neither the log nor the store.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
 	defer func() { s.auditWrite(ctx, rq, uri, err) }()
 	// The whole snapshot→judge→merge→commit sequence runs under the
@@ -120,18 +121,6 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 			return fmt.Errorf("%w: %s", ErrForbidden, wde.Reason)
 		}
 		return err
-	}
-	if sd.DTDURI != "" {
-		sp = trace.StartChild(ctx, "validate")
-		d := s.Docs.DTD(sd.DTDURI)
-		if d == nil {
-			return fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
-		}
-		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
-		sp.End()
-		if errs != nil {
-			return fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
-		}
 	}
 	oldDoc := sd.Doc
 	// The replacement is durable before it is visible: the WAL record

@@ -90,13 +90,31 @@ func TestUpdateInvisibleDocIsNotFound(t *testing.T) {
 	}
 }
 
+// TestUpdateRejectsInvalidReplacement: an invalid, malformed or
+// DTD-switching replacement is the client's fault (422 over HTTP), and
+// a rejected write leaves the store generation and the log untouched —
+// the merged document is validated before anything is journaled.
 func TestUpdateRejectsInvalidReplacement(t *testing.T) {
-	site, sam := writerSite(t)
+	site := durableLabSite(t, t.TempDir())
+	sam := subjects.Requester{User: "Sam", IP: "130.89.56.8", Host: "adminhost.lab.com"}
+	gen, appends := site.Docs.Generation(), site.WALStats().Appends
+	defer func() {
+		if g := site.Docs.Generation(); g != gen {
+			t.Errorf("store generation moved from %d to %d on rejected writes", gen, g)
+		}
+		if n := site.WALStats().Appends; n != appends {
+			t.Errorf("rejected writes appended %d log records", n-appends)
+		}
+	}()
 	// Not valid against the DTD: laboratory requires project+.
 	bad := `<!DOCTYPE laboratory SYSTEM "laboratory.xml"><laboratory name="CSlab"></laboratory>`
 	if err := site.Update(sam, labexample.DocURI, bad); err == nil ||
-		errors.Is(err, ErrForbidden) || errors.Is(err, ErrNotFound) {
+		errors.Is(err, ErrForbidden) || errors.Is(err, ErrNotFound) ||
+		!strings.Contains(err.Error(), "not valid") {
 		t.Errorf("invalid replacement: %v, want validity error", err)
+	}
+	if rec := do(t, site.Handler(), http.MethodPut, "/docs/CSlab.xml", "Sam", sam.IP, bad); rec.Code != http.StatusUnprocessableEntity {
+		t.Errorf("invalid replacement over HTTP: %d %s, want 422", rec.Code, rec.Body.String())
 	}
 	// Malformed XML.
 	if err := site.Update(sam, labexample.DocURI, "<oops"); err == nil {

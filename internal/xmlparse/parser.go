@@ -117,7 +117,7 @@ type Result struct {
 // mark is accepted and skipped.
 func Parse(input string, opts Options) (*Result, error) {
 	input = strings.TrimPrefix(input, "\xef\xbb\xbf")
-	p := &parser{src: input, line: 1, col: 1, opts: opts}
+	p := &parser{src: input, opts: opts}
 	p.entBudget = p.maxEntityExpansion()
 	return p.document()
 }
@@ -144,14 +144,34 @@ func ParseFile(path string, opts Options) (*Result, error) {
 	return Parse(string(b), opts)
 }
 
+// parser scans its input in runs: character data, attribute values and
+// names are located with byte loops and become substrings of the
+// source wherever no reference or normalization intervenes, so a parse
+// allocates per chunk of nodes rather than per node or per byte.
 type parser struct {
 	src       string
 	pos       int
-	line, col int
 	opts      Options
 	dtd       *dtd.DTD
 	entDepth  int
 	entBudget int // remaining entity-expansion bytes
+
+	// nodes is the current slab chunk: every node the parse creates is
+	// taken from its spare capacity. ptrs is the same for the exactly
+	// sized Children and Attrs slices, which are assembled on stack
+	// (the pending attributes and children of the open elements) and
+	// copied out when an element's start tag or content ends.
+	nodes     []dom.Node
+	ptrs      []*dom.Node
+	stack     []*dom.Node
+	nodeCount int
+
+	// Pending character data of the element being parsed: the source
+	// range [textStart, textEnd) while it is one contiguous run, or the
+	// scratch buffer text once a reference or a gap intervenes.
+	textStart, textEnd int
+	buffered           bool
+	text               []byte
 }
 
 // chargeEntity debits n bytes of entity replacement text against the
@@ -172,8 +192,15 @@ func (p *parser) maxEntityExpansion() int {
 	return defaultMaxEntityExpansion
 }
 
+// errf reports a syntax error at the current position. Line and column
+// (the latter counted in bytes) are derived from the input consumed so
+// far; entity splicing only ever inserts at p.pos, so p.src[:p.pos] is
+// exactly the text the parse has stepped over.
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
+	before := p.src[:p.pos]
+	line := 1 + strings.Count(before, "\n")
+	col := len(before) - strings.LastIndexByte(before, '\n')
+	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -185,18 +212,8 @@ func (p *parser) peek() byte {
 	return p.src[p.pos]
 }
 
-// advance moves n bytes forward, maintaining the line/col counters.
-func (p *parser) advance(n int) {
-	for i := 0; i < n && p.pos < len(p.src); i++ {
-		if p.src[p.pos] == '\n' {
-			p.line++
-			p.col = 1
-		} else {
-			p.col++
-		}
-		p.pos++
-	}
-}
+// advance moves n bytes forward; callers have checked that they exist.
+func (p *parser) advance(n int) { p.pos += n }
 
 func (p *parser) hasPrefix(s string) bool {
 	return strings.HasPrefix(p.src[p.pos:], s)
@@ -246,21 +263,38 @@ func isNameRune(r rune) bool {
 	return isNameStart(r) || r == '-' || r == '.' || unicode.IsDigit(r)
 }
 
+// asciiNameRune caches isNameRune for the ASCII bytes, so the common
+// case never decodes a rune.
+var asciiNameRune = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isNameRune(rune(c))
+	}
+	return t
+}()
+
 func (p *parser) name() (string, error) {
 	start := p.pos
-	r, size := utf8.DecodeRuneInString(p.src[p.pos:])
+	r, size := utf8.DecodeRuneInString(p.src[start:])
 	if size == 0 || !isNameStart(r) {
 		return "", p.errf("expected name")
 	}
-	p.advance(size)
-	for !p.eof() {
-		r, size = utf8.DecodeRuneInString(p.src[p.pos:])
+	i := start + size
+	for i < len(p.src) {
+		if c := p.src[i]; c < utf8.RuneSelf {
+			if !asciiNameRune[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, size = utf8.DecodeRuneInString(p.src[i:])
 		if !isNameRune(r) {
 			break
 		}
-		p.advance(size)
+		i += size
 	}
-	return p.src[start:p.pos], nil
+	p.pos = i
+	return p.src[start:i], nil
 }
 
 // document parses the whole document entity.
@@ -269,7 +303,7 @@ func (p *parser) document() (*Result, error) {
 	if err := p.prolog(doc); err != nil {
 		return nil, err
 	}
-	root, err := p.element()
+	root, err := p.element(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +316,7 @@ func (p *parser) document() (*Result, error) {
 		}
 		switch {
 		case p.hasPrefix("<!--"):
-			c, err := p.comment()
+			c, err := p.comment(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +324,7 @@ func (p *parser) document() (*Result, error) {
 				doc.Node.AppendChild(c)
 			}
 		case p.hasPrefix("<?"):
-			pi, err := p.procInst()
+			pi, err := p.procInst(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -339,7 +373,7 @@ func (p *parser) prolog(doc *dom.Document) error {
 		p.skipWS()
 		switch {
 		case p.hasPrefix("<!--"):
-			c, err := p.comment()
+			c, err := p.comment(nil)
 			if err != nil {
 				return err
 			}
@@ -347,7 +381,7 @@ func (p *parser) prolog(doc *dom.Document) error {
 				doc.Node.AppendChild(c)
 			}
 		case p.hasPrefix("<?"):
-			pi, err := p.procInst()
+			pi, err := p.procInst(nil)
 			if err != nil {
 				return err
 			}
@@ -519,8 +553,54 @@ func (p *parser) doctype(doc *dom.Document) error {
 	return nil
 }
 
+// newNode returns a node taken from the current slab chunk, starting a
+// new chunk when it is full.
+func (p *parser) newNode(typ dom.NodeType, name, data string, parent *dom.Node) *dom.Node {
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]dom.Node, 0, p.chunkSize(1))
+	}
+	p.nodes = p.nodes[:len(p.nodes)+1]
+	p.nodeCount++
+	n := &p.nodes[len(p.nodes)-1]
+	n.Type, n.Name, n.Data, n.Parent = typ, name, data, parent
+	return n
+}
+
+// chunkSize sizes the next slab chunk from the input: the first chunk
+// assumes a sparse document, later ones extrapolate the node density
+// of the input consumed so far over the rest, with a little slack, so
+// a typical parse takes two or three chunks. The result is at least
+// need.
+func (p *parser) chunkSize(need int) int {
+	n := len(p.src)/128 + 16
+	if p.pos > 0 && p.nodeCount > 0 {
+		rest := (len(p.src) - p.pos) * p.nodeCount / p.pos
+		n = rest + rest/16 + 16
+	}
+	return max(n, need)
+}
+
+// popNodes moves the pending nodes above mark off the stack into an
+// exactly sized slice of the pointer slab; nil when there are none, as
+// for a node that never had children appended.
+func (p *parser) popNodes(mark int) []*dom.Node {
+	n := len(p.stack) - mark
+	if n == 0 {
+		return nil
+	}
+	if cap(p.ptrs)-len(p.ptrs) < n {
+		p.ptrs = make([]*dom.Node, 0, p.chunkSize(n))
+	}
+	k := len(p.ptrs)
+	p.ptrs = append(p.ptrs, p.stack[mark:]...)
+	p.stack = p.stack[:mark]
+	// Cap the slice at its length so a later append (attribute
+	// defaulting, edits) reallocates instead of overwriting a neighbour.
+	return p.ptrs[k:len(p.ptrs):len(p.ptrs)]
+}
+
 // element parses an element and its content, starting at '<'.
-func (p *parser) element() (*dom.Node, error) {
+func (p *parser) element(parent *dom.Node) (*dom.Node, error) {
 	if err := p.expect("<"); err != nil {
 		return nil, err
 	}
@@ -528,14 +608,16 @@ func (p *parser) element() (*dom.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	el := dom.NewElement(name)
-	seen := map[string]bool{}
+	el := p.newNode(dom.ElementNode, name, "", parent)
+	mark := len(p.stack)
 	for {
 		had := p.skipWS()
 		switch {
 		case p.consume("/>"):
+			el.Attrs = p.popNodes(mark)
 			return el, nil
 		case p.consume(">"):
+			el.Attrs = p.popNodes(mark)
 			if err := p.content(el); err != nil {
 				return nil, err
 			}
@@ -548,10 +630,11 @@ func (p *parser) element() (*dom.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if seen[aname] {
-				return nil, p.errf("duplicate attribute %q on element %q", aname, name)
+			for _, a := range p.stack[mark:] {
+				if a.Name == aname {
+					return nil, p.errf("duplicate attribute %q on element %q", aname, name)
+				}
 			}
-			seen[aname] = true
 			p.skipWS()
 			if err := p.expect("="); err != nil {
 				return nil, err
@@ -561,7 +644,7 @@ func (p *parser) element() (*dom.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			el.SetAttr(aname, aval)
+			p.stack = append(p.stack, p.newNode(dom.AttributeNode, aname, aval, el))
 		}
 	}
 }
@@ -583,35 +666,54 @@ func (p *parser) endTag(name string) error {
 
 // attValue parses a quoted attribute value with reference expansion and
 // attribute-value normalization (whitespace characters become spaces).
+// A value with no reference and no character to normalize is returned
+// as a substring of the input.
 func (p *parser) attValue() (string, error) {
 	q := p.peek()
 	if q != '\'' && q != '"' {
 		return "", p.errf("expected quoted attribute value")
 	}
 	p.advance(1)
-	var b strings.Builder
+	start := p.pos
+	buf, buffered := p.text[:0], false
 	for {
+		i := p.pos
+		for i < len(p.src) {
+			if c := p.src[i]; c == q || c == '<' || c == '&' || c == '\t' || c == '\n' || c == '\r' {
+				break
+			}
+			i++
+		}
+		if buffered {
+			buf = append(buf, p.src[p.pos:i]...)
+		}
+		p.pos = i
 		if p.eof() {
 			return "", p.errf("unterminated attribute value")
 		}
-		c := p.peek()
-		switch {
-		case c == q:
+		c := p.src[p.pos]
+		switch c {
+		case q:
 			p.advance(1)
-			return b.String(), nil
-		case c == '<':
+			if !buffered {
+				return p.src[start : p.pos-1], nil
+			}
+			p.text = buf
+			return string(buf), nil
+		case '<':
 			return "", p.errf("'<' not allowed in attribute value")
-		case c == '&':
+		}
+		if !buffered {
+			buf, buffered = append(buf, p.src[start:p.pos]...), true
+		}
+		if c == '&' {
 			s, err := p.reference(true)
 			if err != nil {
 				return "", err
 			}
-			b.WriteString(s)
-		case c == '\t' || c == '\n' || c == '\r':
-			b.WriteByte(' ')
-			p.advance(1)
-		default:
-			b.WriteByte(c)
+			buf = append(buf, s...)
+		} else {
+			buf = append(buf, ' ')
 			p.advance(1)
 		}
 	}
@@ -745,74 +847,120 @@ func (p *parser) expandEntityText(s string, depth int) (string, error) {
 }
 
 // content parses element content until the matching end tag.
+// Character data is scanned a run at a time: up to the next '<', '&' or
+// "]]>", so a text node with no reference is a substring of the input.
 func (p *parser) content(el *dom.Node) error {
-	var text strings.Builder
-	flush := func() {
-		if text.Len() == 0 {
-			return
-		}
-		s := text.String()
-		text.Reset()
-		if !p.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
-			return
-		}
-		el.AppendChild(dom.NewText(s))
-	}
+	mark := len(p.stack)
 	for {
 		if p.eof() {
 			return p.errf("unexpected end of input inside element %q", el.Name)
 		}
-		switch {
-		case p.hasPrefix("</"):
-			flush()
-			return nil
-		case p.hasPrefix("<!--"):
-			flush()
-			c, err := p.comment()
+		switch c := p.src[p.pos]; {
+		case c == '<':
+			if p.hasPrefix("</") {
+				p.flushText(el)
+				el.Children = p.popNodes(mark)
+				return nil
+			}
+			child, err := p.markup(el)
 			if err != nil {
 				return err
 			}
-			if p.opts.KeepComments {
-				el.AppendChild(c)
+			if child != nil {
+				p.stack = append(p.stack, child)
 			}
-		case p.hasPrefix("<![CDATA["):
-			cd, err := p.cdata()
-			if err != nil {
-				return err
-			}
-			flush()
-			el.AppendChild(cd)
-		case p.hasPrefix("<?"):
-			flush()
-			pi, err := p.procInst()
-			if err != nil {
-				return err
-			}
-			el.AppendChild(pi)
-		case p.peek() == '<':
-			flush()
-			child, err := p.element()
-			if err != nil {
-				return err
-			}
-			el.AppendChild(child)
-		case p.peek() == '&':
+		case c == '&':
 			s, err := p.reference(false)
 			if err != nil {
 				return err
 			}
-			text.WriteString(s)
+			p.addText(s)
+		case p.hasPrefix("]]>"):
+			return p.errf("']]>' not allowed in content")
 		default:
-			if p.hasPrefix("]]>") {
-				return p.errf("']]>' not allowed in content")
+			i := p.pos + 1
+			for i < len(p.src) {
+				if c := p.src[i]; c == '<' || c == '&' || c == ']' && strings.HasPrefix(p.src[i:], "]]>") {
+					break
+				}
+				i++
 			}
-			text.WriteByte(p.peek())
-			p.advance(1)
+			p.addRun(p.pos, i)
+			p.pos = i
 		}
 	}
 }
 
-func (p *parser) comment() (*dom.Node, error) {
+// markup parses the comment, CDATA section, processing instruction or
+// child element starting at '<' inside el. It returns the node to
+// append, or nil for a dropped comment.
+func (p *parser) markup(el *dom.Node) (*dom.Node, error) {
+	switch {
+	case p.hasPrefix("<!--"):
+		p.flushText(el)
+		c, err := p.comment(el)
+		if err != nil || !p.opts.KeepComments {
+			return nil, err
+		}
+		return c, nil
+	case p.hasPrefix("<![CDATA["):
+		cd, err := p.cdata(el)
+		if err != nil {
+			return nil, err
+		}
+		p.flushText(el)
+		return cd, nil
+	case p.hasPrefix("<?"):
+		p.flushText(el)
+		return p.procInst(el)
+	}
+	p.flushText(el)
+	return p.element(el)
+}
+
+// addRun appends the input bytes [i, j) to the pending character data,
+// extending the pending source range when the run continues it.
+func (p *parser) addRun(i, j int) {
+	switch {
+	case p.buffered:
+		p.text = append(p.text, p.src[i:j]...)
+	case p.textStart == p.textEnd:
+		p.textStart, p.textEnd = i, j
+	case p.textEnd == i:
+		p.textEnd = j
+	default:
+		p.addText(p.src[i:j])
+	}
+}
+
+// addText appends expanded text to the pending character data, moving
+// it into the scratch buffer.
+func (p *parser) addText(s string) {
+	if s == "" {
+		return
+	}
+	if !p.buffered {
+		p.text = append(p.text[:0], p.src[p.textStart:p.textEnd]...)
+		p.buffered = true
+	}
+	p.text = append(p.text, s...)
+}
+
+// flushText turns the pending character data into a text child of el,
+// dropping it when it is whitespace only (unless KeepWhitespace).
+func (p *parser) flushText(el *dom.Node) {
+	s := p.src[p.textStart:p.textEnd]
+	if p.buffered {
+		s = string(p.text)
+	}
+	p.textStart, p.textEnd, p.buffered = 0, 0, false
+	if s == "" || !p.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
+		return
+	}
+	p.stack = append(p.stack, p.newNode(dom.TextNode, "", s, el))
+}
+
+func (p *parser) comment(parent *dom.Node) (*dom.Node, error) {
 	p.advance(4) // "<!--"
 	end := strings.Index(p.src[p.pos:], "-->")
 	if end < 0 {
@@ -823,10 +971,10 @@ func (p *parser) comment() (*dom.Node, error) {
 		return nil, p.errf("comment text must not contain '--' or end with '-'")
 	}
 	p.advance(end + 3)
-	return dom.NewComment(body), nil
+	return p.newNode(dom.CommentNode, "", body, parent), nil
 }
 
-func (p *parser) cdata() (*dom.Node, error) {
+func (p *parser) cdata(parent *dom.Node) (*dom.Node, error) {
 	p.advance(len("<![CDATA["))
 	end := strings.Index(p.src[p.pos:], "]]>")
 	if end < 0 {
@@ -834,10 +982,10 @@ func (p *parser) cdata() (*dom.Node, error) {
 	}
 	body := p.src[p.pos : p.pos+end]
 	p.advance(end + 3)
-	return dom.NewCDATA(body), nil
+	return p.newNode(dom.CDATANode, "", body, parent), nil
 }
 
-func (p *parser) procInst() (*dom.Node, error) {
+func (p *parser) procInst(parent *dom.Node) (*dom.Node, error) {
 	p.advance(2) // "<?"
 	target, err := p.name()
 	if err != nil {
@@ -852,5 +1000,5 @@ func (p *parser) procInst() (*dom.Node, error) {
 	}
 	data := strings.TrimLeft(p.src[p.pos:p.pos+end], " \t\r\n")
 	p.advance(end + 2)
-	return dom.NewProcInst(target, data), nil
+	return p.newNode(dom.ProcessingInstructionNode, target, data, parent), nil
 }

@@ -13,15 +13,14 @@
 //	                            stages authindex
 //	xsbench -exp authindex -json BENCH_authindex.json
 //	                            cold vs warm node-set-index labeling
-//	xsbench -exp trace -json BENCH_trace.json
-//	                            traced vs untraced request latency
 //	xsbench -exp wal -json BENCH_wal.json
 //	                            PUT throughput under each WAL fsync policy
 //	xsbench -exp classes -json BENCH_classes.json
 //	                            serve cost and cache footprint vs requester
 //	                            population under class-keyed caching
 //	xsbench -exp obs -json BENCH_obs.json
-//	                            per-request cost-accounting overhead
+//	                            per-request instrumentation overhead
+//	                            (cost card, stage times, sampled traces)
 //	xsbench -exp updates -json BENCH_updates.json
 //	                            update scripts vs whole-document PUTs at
 //	                            1%/10%/50% write fractions
@@ -40,6 +39,7 @@ import (
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
 	"xmlsec/internal/labexample"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/server"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/workload"
@@ -53,7 +53,7 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig1 fig3 loosen online pipeline conflict subjects xpath cache stages authindex trace wal classes obs updates all")
+	exp := flag.String("exp", "all", "experiment to run: fig1 fig3 loosen online pipeline conflict subjects xpath cache stages authindex wal classes obs updates all")
 	flag.BoolVar(&quick, "quick", false, "smaller parameter sweeps")
 	flag.StringVar(&jsonOut, "json", "", "write machine-readable results of the authindex/trace/wal/classes/obs/updates experiments to this file")
 	flag.Parse()
@@ -70,13 +70,12 @@ func main() {
 		"cache":     expCache,
 		"stages":    expStages,
 		"authindex": expAuthIndex,
-		"trace":     expTrace,
 		"wal":       expWAL,
 		"classes":   expClasses,
 		"obs":       expObs,
 		"updates":   expUpdates,
 	}
-	order := []string{"fig1", "fig3", "loosen", "conflict", "subjects", "xpath", "pipeline", "online", "cache", "stages", "authindex", "trace", "wal", "classes", "obs", "updates"}
+	order := []string{"fig1", "fig3", "loosen", "conflict", "subjects", "xpath", "pipeline", "online", "cache", "stages", "authindex", "wal", "classes", "obs", "updates"}
 
 	var names []string
 	if *exp == "all" {
@@ -558,7 +557,8 @@ func expCache() error {
 // expStages — the observability subsystem: drive the full processor in
 // fully on-line mode (parse-per-request + view validation, so every
 // cycle stage runs) and print the per-stage timing breakdown from the
-// site's metric registry — the same histograms GET /metrics exposes.
+// site's metric registry — the same histograms GET /metrics exposes —
+// for every stage of the obs.Stage table that ran.
 func expStages() error {
 	site, err := mkLabSite()
 	if err != nil {
@@ -587,23 +587,26 @@ func expStages() error {
 	}
 	fmt.Printf("%d fully on-line cycles over %s; per-stage latency from the metric registry:\n\n",
 		n, labexample.DocURI)
-	fmt.Printf("%-10s %-8s %-12s %-12s %-12s %-12s\n", "stage", "count", "total", "mean", "p50", "p95")
+	fmt.Printf("%-15s %-8s %-12s %-12s %-12s %-12s\n", "stage", "count", "total", "mean", "p50", "p95")
 	var cycle time.Duration
-	for _, st := range []string{"parse", "label", "prune", "validate", "unparse"} {
+	for id := obs.Stage(0); id < obs.NumStages; id++ {
+		st := id.String()
 		s := stage.Find("stage", st)
-		if s == nil || s.Histogram == nil {
+		if s == nil || s.Histogram == nil || s.Histogram.Count == 0 {
 			continue
 		}
 		h := s.Histogram
 		mean := time.Duration(h.Mean() * float64(time.Second))
-		cycle += mean
-		fmt.Printf("%-10s %-8d %-12s %-12s %-12s %-12s\n", st, h.Count,
+		if id <= obs.StageUnparse { // the cycle; other stages nest in it or run outside it
+			cycle += mean
+		}
+		fmt.Printf("%-15s %-8d %-12s %-12s %-12s %-12s\n", st, h.Count,
 			time.Duration(h.Sum*float64(time.Second)).Round(time.Microsecond),
 			mean.Round(time.Microsecond),
 			time.Duration(h.Quantile(0.5)*float64(time.Second)).Round(time.Microsecond),
 			time.Duration(h.Quantile(0.95)*float64(time.Second)).Round(time.Microsecond))
 	}
-	fmt.Printf("\nsum of stage means: %s per request (quantiles are bucket-interpolated;\n", cycle.Round(time.Microsecond))
+	fmt.Printf("\nsum of cycle-stage means: %s per request (quantiles are bucket-interpolated;\n", cycle.Round(time.Microsecond))
 	fmt.Println(" the same histograms back the daemon's GET /metrics and /statz endpoints)")
 	return nil
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/dom"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 )
 
@@ -51,7 +51,9 @@ type AuthIndex struct {
 	fills         atomic.Uint64
 	invalidations atomic.Uint64
 
-	fillObs atomic.Value // of func(time.Duration)
+	// stages is the engine's: warm fills, which run with no request
+	// card, still reach the authindex.fill histogram.
+	stages *trace.Stages
 }
 
 // docIndex holds the cached node-sets of one document under one
@@ -81,24 +83,17 @@ func NewAuthIndex() *AuthIndex {
 	return &AuthIndex{byDoc: make(map[*dom.Document]*docIndex)}
 }
 
-// SetFillObserver installs fn to receive the duration of every index
-// fill (one XPath evaluation); nil removes it. Safe to call concurrently
-// with lookups.
-func (x *AuthIndex) SetFillObserver(fn func(time.Duration)) {
-	x.fillObs.Store(fn)
-}
-
-func (x *AuthIndex) observeFill(d time.Duration) {
-	if fn, _ := x.fillObs.Load().(func(time.Duration)); fn != nil {
-		fn(d)
-	}
-}
-
 // entryFor returns the docIndex for (doc, gen), creating it — and
-// discarding any entry built under a stale generation — as needed.
+// discarding any entry built under a stale generation — as needed. A
+// retired document gets a throwaway entry that is never stored: the
+// check runs under x.mu, as InvalidateDoc retires, so no reader can
+// re-create a dropped entry.
 func (x *AuthIndex) entryFor(doc *dom.Document, gen uint64) *docIndex {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if doc.Retired() {
+		return &docIndex{gen: gen, sets: make(map[*authz.Authorization]*nodeSet)}
+	}
 	de, ok := x.byDoc[doc]
 	if ok && de.gen == gen {
 		return de
@@ -127,10 +122,10 @@ func (x *AuthIndex) entryFor(doc *dom.Document, gen uint64) *docIndex {
 // (SelectIndexesCtx): on arena documents the XPath evaluation and the
 // cached set never materialize a *dom.Node. The hit result
 // reports whether the set was already filled — the per-request trace
-// annotates its label span with the totals. A fill under a traced
-// context records an "authindex.fill" span (the XPath evaluation a warm
-// request avoids), so a sampled trace shows exactly which
-// authorizations this request paid for.
+// annotates its label span with the totals. Each fill runs as the
+// authindex.fill stage (the XPath evaluation a warm request avoids),
+// so a sampled trace shows exactly which authorizations this request
+// paid for. A retired document is evaluated without caching.
 func (x *AuthIndex) lookup(ctx context.Context, doc *dom.Document, gen uint64, a *authz.Authorization) (set []int32, hit bool, err error) {
 	de := x.entryFor(doc, gen)
 	de.mu.Lock()
@@ -147,32 +142,30 @@ func (x *AuthIndex) lookup(ctx context.Context, doc *dom.Document, gen uint64, a
 		x.misses.Add(1)
 	}
 	ns.once.Do(func() {
-		fctx, sp := trace.StartSpan(ctx, "authindex.fill")
-		start := time.Now()
-		idx, err := a.SelectIndexesCtx(fctx, doc)
-		if err != nil {
-			ns.err = err
-		} else {
-			ns.idx = idx
-		}
-		x.fills.Add(1)
-		// The fill is charged to the request whose goroutine ran the
-		// evaluation; coalesced misses waiting on the same once record
-		// only their miss.
-		if card := trace.CostFromContext(ctx); card != nil {
-			card.AuthIndexFills++
-		}
-		x.observeFill(time.Since(start))
-		if sp.Traced() {
-			sp.Lazyf("%s -> %d nodes (gen %d)", a, len(ns.idx), gen)
-			sp.End()
-		}
+		ns.idx, ns.err = x.fill(ctx, doc, gen, a)
 		ns.filled.Store(true)
 	})
 	if ns.err != nil {
 		return nil, hit, ns.err
 	}
 	return ns.idx, hit, nil
+}
+
+// fill evaluates a's path over doc as one authindex.fill stage. The
+// fill is charged to the request whose goroutine ran the evaluation;
+// coalesced misses waiting on the same once record only their miss.
+func (x *AuthIndex) fill(ctx context.Context, doc *dom.Document, gen uint64, a *authz.Authorization) ([]int32, error) {
+	st := x.stages.Begin(ctx, obs.StageAuthIndexFill)
+	idx, err := a.SelectIndexesCtx(st.Context(ctx), doc)
+	x.fills.Add(1)
+	if card := trace.CostFromContext(ctx); card != nil {
+		card.AuthIndexFills++
+	}
+	if sp := st.Span(); sp.Traced() {
+		sp.Lazyf("%s -> %d nodes (gen %d)", a, len(idx), gen)
+	}
+	st.End()
+	return idx, err
 }
 
 // Warm pre-fills the index for doc under store generation gen with the
@@ -210,12 +203,15 @@ func (x *AuthIndex) Warm(doc *dom.Document, gen uint64, auths []*authz.Authoriza
 	wg.Wait()
 }
 
-// InvalidateDoc drops every cached node-set of doc — the eager
-// counterpart of generation-based invalidation, called when the server
-// replaces a document so the superseded tree is released immediately.
+// InvalidateDoc drops every cached node-set of doc and retires it —
+// the eager counterpart of generation-based invalidation, called when
+// the server replaces a document so the superseded tree is released
+// immediately: readers that snapshotted it still label it, uncached,
+// but can no longer pin it in the index.
 func (x *AuthIndex) InvalidateDoc(doc *dom.Document) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	doc.Retire()
 	if _, ok := x.byDoc[doc]; ok {
 		delete(x.byDoc, doc)
 		x.invalidations.Add(1)

@@ -10,6 +10,7 @@ import (
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/dom"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 )
@@ -25,49 +26,42 @@ type Engine struct {
 	// Default is the policy for documents with no specific policy.
 	Default Policy
 
+	// stages times the engine's layers; set by NewEngine and shared
+	// with its node-set index and its views.
+	stages *trace.Stages
+
 	mu       sync.RWMutex
 	policies map[string]Policy // per-document URI
 	polGen   uint64            // bumped by SetPolicy/ClearPolicies
-	stages   StageObserver
 	// authIndex caches per-document authorization node-sets so
 	// steady-state labeling does zero XPath work; nil disables caching
 	// (the uncached baseline). NewEngine installs one.
 	authIndex *AuthIndex
 }
 
-// StageObserver receives the duration of each named stage of the
-// processor's execution cycle. ComputeView reports "label" and "prune";
-// callers running the surrounding stages (parse, validate, unparse)
-// report those themselves. Implementations must be safe for concurrent
-// use.
-type StageObserver interface {
-	ObserveStage(stage string, d time.Duration)
-}
-
-// SetStageObserver installs (or, with nil, removes) the engine's stage
-// observer. Safe to call concurrently with ComputeView.
-func (e *Engine) SetStageObserver(o StageObserver) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stages = o
-}
-
-func (e *Engine) stageObserver() StageObserver {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stages
-}
-
 // NewEngine builds an engine over a directory and a store with the
 // paper's default policy.
 func NewEngine(dir *subjects.Directory, store *authz.Store) *Engine {
+	stages := trace.NewStages()
+	idx := NewAuthIndex()
+	idx.stages = stages
 	return &Engine{
 		Hierarchy: subjects.Hierarchy{Dir: dir},
 		Store:     store,
 		Default:   DefaultPolicy,
+		stages:    stages,
 		policies:  make(map[string]Policy),
-		authIndex: NewAuthIndex(),
+		authIndex: idx,
 	}
+}
+
+// Stages returns the engine's stage set, which the server's stages
+// time into too; nil for a nil engine or one not built by NewEngine.
+func (e *Engine) Stages() *trace.Stages {
+	if e == nil {
+		return nil
+	}
+	return e.stages
 }
 
 // AuthIndex returns the engine's node-set index, or nil when disabled.
@@ -80,10 +74,15 @@ func (e *Engine) AuthIndex() *AuthIndex {
 // SetAuthIndex installs (or, with nil, disables) the engine's node-set
 // index. With the index disabled every request evaluates every
 // applicable path expression — the uncached baseline the differential
-// tests compare against. Safe to call concurrently with Label.
+// tests compare against. A fresh index is wired to the engine's stage
+// histograms, so it must not be in use elsewhere yet. Safe to call
+// concurrently with Label.
 func (e *Engine) SetAuthIndex(x *AuthIndex) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if x != nil && x.stages == nil {
+		x.stages = e.stages
+	}
 	e.authIndex = x
 }
 
@@ -227,6 +226,7 @@ type View struct {
 
 	matOnce sync.Once
 	mat     *dom.Document
+	stages  *trace.Stages // the computing engine's; times materialize
 }
 
 // Empty reports whether the view contains nothing at all — the
@@ -299,44 +299,43 @@ func (e *Engine) ComputeView(req Request, doc *dom.Document) (*View, error) {
 	return e.ComputeViewCtx(context.Background(), req, doc)
 }
 
-// ComputeViewCtx is ComputeView with per-request tracing: when ctx
-// carries a trace (see internal/trace), the labeling and
-// transformation steps are recorded as "label" and "prune" spans, with
-// node-set-index effectiveness and label counts annotated on them. An
-// untraced context adds no allocation and no lock to the cycle.
+// ComputeViewCtx is ComputeView under a request context: labeling and
+// transformation run as the label and prune stages (see trace.Stages),
+// and a traced label span is annotated with node-set-index
+// effectiveness and label counts. An untraced context adds no
+// allocation and no lock to the cycle.
 func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Document) (*View, error) {
-	obs := e.stageObserver()
-	lctx, sp := trace.StartSpan(ctx, "label")
-	start := time.Now()
-	lb, stats, err := e.labelCtx(lctx, req, doc)
+	lb, stats, err := e.labelStage(ctx, req, doc)
 	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		obs.ObserveStage("label", time.Since(start))
-	}
-	if sp.Traced() {
-		sp.Lazyf("%d nodes: %d+, %d-, %de (auths: %d instance, %d schema)",
-			stats.Nodes, stats.Plus, stats.Minus, stats.Eps, stats.AuthsInstance, stats.AuthsSchema)
-		sp.End()
-	}
 	pol := e.PolicyFor(req.URI)
-	sp = trace.StartChild(ctx, "prune")
-	start = time.Now()
+	st := e.stages.Begin(ctx, obs.StagePrune)
 	mask, kept := Visibility(doc, lb, pol)
+	st.End()
 	stats.Kept = kept
-	if obs != nil {
-		obs.ObserveStage("prune", time.Since(start))
-	}
-	if sp.Traced() {
-		sp.Lazyf("kept %d of %d nodes", kept, stats.Nodes)
-		sp.End()
-	}
 	if card := trace.CostFromContext(ctx); card != nil {
 		card.NodesSwept += int64(stats.Nodes)
 		card.NodesKept += int64(kept)
 	}
-	return &View{Doc: doc, Mask: mask, Labeling: lb, Stats: stats}, nil
+	return &View{Doc: doc, Mask: mask, Labeling: lb, Stats: stats, stages: e.stages}, nil
+}
+
+// labelStage runs labelCtx as the label stage, or as write-label for
+// any action but read; node-set index fills nest inside it.
+func (e *Engine) labelStage(ctx context.Context, req Request, doc *dom.Document) (*Labeling, Stats, error) {
+	id := obs.StageLabel
+	if req.action() != authz.ReadAction {
+		id = obs.StageWriteLabel
+	}
+	st := e.stages.Begin(ctx, id)
+	lb, stats, err := e.labelCtx(st.Context(ctx), req, doc)
+	if sp := st.Span(); sp.Traced() && err == nil {
+		sp.Lazyf("%d nodes: %d+, %d-, %de (auths: %d instance, %d schema)",
+			stats.Nodes, stats.Plus, stats.Minus, stats.Eps, stats.AuthsInstance, stats.AuthsSchema)
+	}
+	st.End()
+	return lb, stats, err
 }
 
 // Label runs only the tree-labeling step on doc (labels go to a fresh
@@ -347,11 +346,11 @@ func (e *Engine) Label(req Request, doc *dom.Document) (*Labeling, Stats, error)
 	return e.labelCtx(context.Background(), req, doc)
 }
 
-// LabelCtx is Label under a (possibly traced) context; node-set-index
-// fills triggered by the labeling appear as child spans of the
-// context's current span.
+// LabelCtx is Label under a request context, run as the label stage
+// (write-label for a write request), so node-set-index fills it
+// triggers nest inside that stage.
 func (e *Engine) LabelCtx(ctx context.Context, req Request, doc *dom.Document) (*Labeling, Stats, error) {
-	return e.labelCtx(ctx, req, doc)
+	return e.labelStage(ctx, req, doc)
 }
 
 func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (*Labeling, Stats, error) {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"xmlsec/internal/dom"
-	"xmlsec/internal/trace"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/xpath"
 )
 
@@ -31,8 +31,9 @@ func (v *View) Query(expr string) ([]*dom.Node, error) {
 	return v.QueryCtx(context.Background(), expr)
 }
 
-// QueryCtx is Query with per-request tracing: a traced context records
-// the view materialization and the XPath evaluation as spans.
+// QueryCtx is Query under a request context: the view materialization
+// runs as the materialize stage, and a traced context records the
+// XPath evaluation as a span.
 func (v *View) QueryCtx(ctx context.Context, expr string) ([]*dom.Node, error) {
 	p, err := xpath.Compile(expr)
 	if err != nil {
@@ -41,9 +42,9 @@ func (v *View) QueryCtx(ctx context.Context, expr string) ([]*dom.Node, error) {
 	if v.Empty() {
 		return nil, nil
 	}
-	sp := trace.StartChild(ctx, "materialize")
+	st := v.stages.Begin(ctx, obs.StageMaterialize)
 	qdoc := v.Materialize()
-	sp.End()
+	st.End()
 	if qdoc.DocumentElement() == nil {
 		return nil, nil
 	}

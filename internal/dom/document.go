@@ -1,5 +1,7 @@
 package dom
 
+import "sync/atomic"
+
 // DocType records the document type declaration of a document: its name
 // and external identifiers. The parsed DTD itself is represented by the
 // dtd package; xmlparse returns it alongside the document.
@@ -43,7 +45,19 @@ type Document struct {
 	// between goroutines; afterwards any number of readers may use it
 	// concurrently.
 	arena *Arena
+
+	// retired marks a document a newer generation has replaced; see
+	// Retire.
+	retired atomic.Bool
 }
+
+// Retire marks the document as superseded by a newer generation. Caches
+// keyed by document (the node-set index) stop admitting it, so readers
+// still holding it cannot pin it past the commit that replaced it.
+func (d *Document) Retire() { d.retired.Store(true) }
+
+// Retired reports whether Retire was called.
+func (d *Document) Retired() bool { return d.retired.Load() }
 
 // NewDocument returns an empty document with a fresh document node.
 func NewDocument() *Document {

@@ -22,9 +22,9 @@ import "sync"
 // the middleware copies it into the trace snapshot, the audit record,
 // and the slow-request log, then returns it to the pool.
 //
-// All fields are int64 so a card is a flat, copyable value with a
-// stable JSON shape (/debug/slowz, audit records, trace snapshots all
-// emit it).
+// All counters are int64 and Stages is a fixed array, so a card is a
+// flat, copyable value with a stable JSON shape (/debug/slowz, audit
+// records, trace snapshots all emit it).
 type CostCard struct {
 	// Class is the requester's authorization-equivalence class
 	// (subjects.ClassID), or -1 when the request was not classified
@@ -71,9 +71,9 @@ type CostCard struct {
 	BytesSerialized int64 `json:"bytes_serialized,omitempty"`
 
 	// WALAppends counts durable mutation records this request logged;
-	// WALFsyncWaitNs is the time it spent blocked on those appends
-	// (under -fsync always this is the synchronous fsync wait — the
-	// durability cost of the request's writes).
+	// WALFsyncWaitNs is its wal.append stage time, the time it spent
+	// blocked on those appends (under -fsync always the synchronous
+	// fsync wait — the durability cost of the request's writes).
 	WALAppends     int64 `json:"wal_appends,omitempty"`
 	WALFsyncWaitNs int64 `json:"wal_fsync_wait_ns,omitempty"`
 
@@ -85,6 +85,10 @@ type CostCard struct {
 	OpsApplied     int64 `json:"update_ops,omitempty"`
 	TargetsChecked int64 `json:"update_targets_checked,omitempty"`
 	NodesCopied    int64 `json:"update_nodes_copied,omitempty"`
+
+	// Stages is where this request's time went, stage by stage.
+	Stages StageTimes `json:"stages_ns,omitzero"`
+	open   uint8      // innermost running stage + 1 (0: none); see EnterStage
 }
 
 // Reset zeroes the card for reuse.

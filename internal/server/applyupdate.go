@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"xmlsec/internal/core"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
@@ -97,9 +98,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 	// Visibility first: a requester with no read view must not learn
 	// that the document exists from the update path either.
 	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	rctx, sp := trace.StartSpan(ctx, "read-view")
-	view, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
-	sp.End()
+	view, err := s.Engine.ComputeViewCtx(ctx, readReq, sd.Doc)
 	if err != nil {
 		return err
 	}
@@ -107,22 +106,23 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		return ErrNotFound
 	}
 	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
-	wctx, sp := trace.StartSpan(ctx, "write-label")
-	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
-	sp.End()
+	lb, _, err := s.Engine.LabelCtx(ctx, writeReq, sd.Doc)
 	if err != nil {
 		return err
 	}
 	pol := s.Engine.PolicyFor(uri)
-	res, report := update.Resolve(ctx, sd.Doc, script,
+	stages := s.Engine.Stages()
+	st := stages.Begin(ctx, obs.StageUpdateResolve)
+	res, report := update.Resolve(st.Context(ctx), sd.Doc, script,
 		func(i int32) bool { return view.Mask.VisibleIdx(i) },
 		func(i int32) bool { return pol.Grants(lb.FinalAt(int(i))) })
+	st.End()
 	if report != nil {
 		return &ScriptError{Report: report}
 	}
-	sp = trace.StartChild(ctx, "update.apply")
+	st = stages.Begin(ctx, obs.StageUpdateApply)
 	out, copied, err := update.Apply(sd.Doc, script, res.Targets)
-	sp.End()
+	st.End()
 	if err != nil {
 		var ce *update.ConflictError
 		if errors.As(err, &ce) {
@@ -130,12 +130,16 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		}
 		return err
 	}
+	st = stages.Begin(ctx, obs.StageDocSerialize)
 	newSource := out.String()
+	st.End()
 	// Re-parse and re-validate the updated source exactly as a PUT
 	// would: the committed StoredDoc must be parse(serialize(apply)),
 	// the same tree replay reconstructs, and an update that breaks DTD
 	// validity fails here with nothing committed.
+	st = stages.Begin(ctx, obs.StageDocPrepare)
 	nd, err := s.Docs.prepareDocument(uri, newSource)
+	st.End()
 	if err != nil {
 		return err
 	}

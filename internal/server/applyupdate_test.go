@@ -215,10 +215,11 @@ func TestApplyUpdateHTTPLadder(t *testing.T) {
 	}
 	site.MaxUpdateBytes = 0
 
-	// The update metric families are exposed.
+	// The update metric families are exposed; the update's latency
+	// parts are stages of the one stage family.
 	mrec := do(t, h, http.MethodGet, "/metrics", "", "130.89.56.8", "")
 	for _, fam := range []string{"xmlsec_update_requests_total", "xmlsec_update_ops_total",
-		"xmlsec_update_nodes_copied_total", "xmlsec_update_apply_duration_seconds"} {
+		"xmlsec_update_nodes_copied_total", `xmlsec_stage_duration_seconds_count{stage="update.apply"}`} {
 		if !strings.Contains(mrec.Body.String(), fam) {
 			t.Errorf("/metrics lacks %s", fam)
 		}

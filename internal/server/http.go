@@ -9,7 +9,6 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"strings"
-	"time"
 
 	"xmlsec/internal/dom"
 	"xmlsec/internal/trace"
@@ -243,9 +242,7 @@ func (s *Site) handleApplyUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rq := s.RequesterFor(user, s.peerIP(r))
-	start := time.Now()
 	err = s.ApplyUpdate(r.Context(), rq, uri, string(body))
-	s.metrics.updateApply.ObserveSince(start)
 	outcome := "ok"
 	switch {
 	case err == nil:

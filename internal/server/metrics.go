@@ -12,27 +12,19 @@ import (
 	"xmlsec/internal/trace"
 )
 
-// stages of the paper's execution cycle, in order. "label" and "prune"
-// are reported by the engine; "parse" (under ParsePerRequest),
-// "validate" (under ValidateViews), and "unparse" by Site.Process.
-var cycleStages = []string{"parse", "label", "prune", "validate", "unparse"}
-
 // siteMetrics holds the site's registry and the families the hot path
 // writes to directly; everything read-on-scrape (cache stats, store
 // generations, audit volume) registers as a Func metric instead.
 type siteMetrics struct {
 	reg          *obs.Registry
-	stage        *obs.HistogramVec // stage
 	httpReqs     *obs.CounterVec   // route, status
 	httpDur      *obs.HistogramVec // route
 	processed    *obs.CounterVec   // outcome
-	authFill     *obs.Histogram    // node-set index fill latency
 	walFsync     *obs.Histogram    // WAL fsync latency
 	walSnapshot  *obs.Histogram    // snapshot capture+write latency
 	updateReqs   *obs.CounterVec   // update scripts, by outcome
 	updateOps    *obs.Counter      // operations committed
 	updateCopied *obs.Counter      // copy-on-write nodes
-	updateApply  *obs.Histogram    // whole update-apply latency
 }
 
 // Metrics returns the site's metric registry, initializing it on first
@@ -47,12 +39,9 @@ func (s *Site) initMetrics() {
 	s.metricsOnce.Do(func() {
 		reg := obs.NewRegistry()
 		m := &siteMetrics{reg: reg}
-		m.stage = reg.NewHistogramVec("xmlsec_stage_duration_seconds",
-			"Latency of each stage of the security processor's execution cycle (parse, label, prune, validate, unparse).",
-			obs.DefStageBuckets, "stage")
-		for _, st := range cycleStages {
-			m.stage.With(st) // materialize all stages so /metrics always lists them
-		}
+		reg.RegisterStageHistograms("xmlsec_stage_duration_seconds",
+			"Latency of each stage of the security processor, by stage (see obs.Stage).",
+			s.Engine.Stages().Histograms())
 		m.httpReqs = reg.NewCounterVec("xmlsec_http_requests_total",
 			"HTTP requests served, by route and status code.", "route", "status")
 		m.httpDur = reg.NewHistogramVec("xmlsec_http_request_duration_seconds",
@@ -65,9 +54,6 @@ func (s *Site) initMetrics() {
 			"Script operations committed by successful updates.")
 		m.updateCopied = reg.NewCounter("xmlsec_update_nodes_copied_total",
 			"Nodes copied for updates (copy-on-write clone plus inserted fragments).")
-		m.updateApply = reg.NewHistogram("xmlsec_update_apply_duration_seconds",
-			"End-to-end latency of update scripts (resolve, authorize, apply, log, commit).",
-			obs.DefLatencyBuckets)
 		reg.NewCounterFunc("xmlsec_view_cache_hits_total",
 			"View-cache hits (0 when the cache is disabled).", func() float64 {
 				hits, _ := s.CacheStats()
@@ -170,9 +156,6 @@ func (s *Site) initMetrics() {
 				_, sampled := s.traces.Stats()
 				return float64(sampled)
 			})
-		m.authFill = reg.NewHistogram("xmlsec_authindex_fill_duration_seconds",
-			"Latency of node-set index fills (one authorization path evaluated over one document).",
-			obs.DefStageBuckets)
 		m.walFsync = reg.NewHistogram("xmlsec_wal_fsync_seconds",
 			"Latency of write-ahead log fsyncs (the durability cost of a mutation under -fsync always).",
 			obs.DefLatencyBuckets)
@@ -230,28 +213,7 @@ func (s *Site) initMetrics() {
 				return float64(size)
 			})
 		s.metrics = m
-		if s.Engine != nil {
-			s.Engine.SetStageObserver(stageRecorder{m.stage})
-			if idx := s.Engine.AuthIndex(); idx != nil {
-				idx.SetFillObserver(func(d time.Duration) {
-					m.authFill.Observe(d.Seconds())
-				})
-			}
-		}
 	})
-}
-
-// stageRecorder adapts the stage histogram family to core.StageObserver.
-type stageRecorder struct{ h *obs.HistogramVec }
-
-func (r stageRecorder) ObserveStage(stage string, d time.Duration) {
-	r.h.With(stage).Observe(d.Seconds())
-}
-
-// observeStage records one Site-level stage duration (the engine
-// reports its own stages through the same family).
-func (s *Site) observeStage(stage string, start time.Time) {
-	s.metrics.stage.With(stage).ObserveSince(start)
 }
 
 // handleMetrics serves GET /metrics: the registry in Prometheus text
@@ -326,7 +288,8 @@ func (s *Site) instrument(next http.Handler) http.Handler {
 			s.logger().Warn("slow request",
 				"request_id", id, "method", r.Method, "route", route,
 				"status", sw.status, "duration", dur, "class", card.Class,
-				"nodes_labeled", card.NodesLabeled, "bytes", card.BytesSerialized)
+				"nodes_labeled", card.NodesLabeled, "bytes", card.BytesSerialized,
+				"stages_ns", card.Stages)
 		}
 		obs.PutCostCard(card)
 		s.metrics.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()

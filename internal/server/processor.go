@@ -7,12 +7,12 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/wal"
@@ -149,7 +149,7 @@ func NewSite() *Site {
 		Resolver:  NewStaticResolver(),
 		Engine:    core.NewEngine(dir, auths),
 	}
-	s.initMetrics() // wire the engine's stage observer before serving
+	s.initMetrics() // build the registry before serving
 	return s
 }
 
@@ -205,11 +205,10 @@ func (s *Site) Process(rq subjects.Requester, uri string) (*ProcessResult, error
 	return s.ProcessContext(context.Background(), rq, uri)
 }
 
-// ProcessContext is Process under a request context. When ctx carries
-// a trace (the HTTP middleware starts one per sampled request), every
-// cycle stage is recorded as a span, so the trace answers where this
-// particular request's time went; the trace's request ID is written
-// into the audit record either way. An untraced context adds no
+// ProcessContext is Process under a request context. Every cycle stage
+// is timed onto the request's cost card (and, when sampled, its trace),
+// so the request itself answers where its time went; the request ID is
+// written into the audit record. An untraced context adds no
 // allocation to the cycle.
 func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (res *ProcessResult, err error) {
 	s.initMetrics()
@@ -228,11 +227,11 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 			s.metrics.processed.With("error").Inc()
 		}
 	}()
-	rsp := trace.SpanFromContext(ctx)
-	if rsp.Traced() {
+	if rsp := trace.SpanFromContext(ctx); rsp.Traced() {
 		rsp.Lazyf("process %s for user=%s ip=%s host=%s", uri, rq.User, rq.IP, rq.Host)
 	}
 	card := trace.CostFromContext(ctx)
+	stages := s.Engine.Stages()
 	// Snapshot the document together with the store generation in ONE
 	// lock acquisition, and likewise the authorization generation with
 	// the per-document time-boundedness. Reading them in separate calls
@@ -258,13 +257,10 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		// class: the view depends on the requester only through the set
 		// of applicable authorizations, so every requester in the class
 		// shares one cache entry however large the population.
-		csp := trace.StartChild(ctx, "class.resolve")
+		st := stages.Begin(ctx, obs.StageClassResolve)
 		class, outcome, cerr := s.classes.ResolveWithOutcome(s.Engine.Hierarchy, rq, authGen, dirGen,
 			s.Auths.SubjectUniverse)
-		if csp.Traced() {
-			csp.Lazyf("class %d", class)
-		}
-		csp.End()
+		st.End()
 		if card != nil && cerr == nil {
 			card.Class = int64(class)
 			if outcome.MemoHit {
@@ -289,9 +285,6 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 			if card != nil {
 				card.ViewCacheHits++
 			}
-			if rsp.Traced() {
-				rsp.Lazyf("view cache hit (no cycle run)")
-			}
 			return cached, nil
 		}
 		if !leader {
@@ -305,9 +298,6 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 			if fl.err == nil && fl.res != nil {
 				if card != nil {
 					card.ViewCacheCoalesced++
-				}
-				if rsp.Traced() {
-					rsp.Lazyf("view cache hit (coalesced with in-flight computation)")
 				}
 				return fl.res, nil
 			}
@@ -336,17 +326,15 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 	}
 	doc := sd.Doc
 	if s.ParsePerRequest {
-		sp := trace.StartChild(ctx, "parse")
-		start := time.Now()
+		st := stages.Begin(ctx, obs.StageParse)
 		res, err := xmlparse.Parse(sd.Source, xmlparse.Options{
 			Loader:        storeLoader{s.Docs},
 			ApplyDefaults: true,
 		})
+		st.End()
 		if err != nil {
 			return nil, fmt.Errorf("server: re-parsing %q: %w", uri, err)
 		}
-		s.observeStage("parse", start)
-		sp.End()
 		doc = res.Doc
 	}
 	req := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
@@ -358,20 +346,18 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		return nil, ErrNotFound
 	}
 	if s.ValidateViews && sd.DTDURI != "" {
-		sp := trace.StartChild(ctx, "validate")
-		start := time.Now()
 		loose := s.Docs.Loosened(sd.DTDURI)
 		if loose == nil {
 			return nil, fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
 		}
-		if errs := loose.Validate(view.Materialize(), dtd.ValidateOptions{IgnoreIDs: true}); errs != nil {
+		st := stages.Begin(ctx, obs.StageValidate)
+		errs := loose.Validate(view.Materialize(), dtd.ValidateOptions{IgnoreIDs: true})
+		st.End()
+		if errs != nil {
 			return nil, fmt.Errorf("server: view of %q violates the loosened DTD: %w", uri, errs)
 		}
-		s.observeStage("validate", start)
-		sp.End()
 	}
-	sp := trace.StartChild(ctx, "unparse")
-	start := time.Now()
+	st := stages.Begin(ctx, obs.StageUnparse)
 	// Unparse through the visibility mask into a pooled, size-hinted
 	// buffer: the shared document's arena is swept directly, emitting
 	// only mask-visible nodes, with no per-request tree to build or
@@ -383,17 +369,13 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		// site serves the loosened DTD under the original's URI.
 		OmitDocType: sd.DTDURI == "",
 	})
+	st.End()
 	if err != nil {
 		dom.PutBuffer(b)
 		return nil, err
 	}
-	s.observeStage("unparse", start)
 	if card != nil {
 		card.BytesSerialized += int64(b.Len())
-	}
-	if sp.Traced() {
-		sp.Lazyf("%d bytes", b.Len())
-		sp.End()
 	}
 	xml := b.String()
 	dom.PutBuffer(b)

@@ -8,8 +8,8 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
-	"xmlsec/internal/trace"
 	"xmlsec/internal/xmlparse"
 	"xmlsec/internal/xpath"
 )
@@ -51,10 +51,9 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 	return s.UpdateContext(context.Background(), rq, uri, newSource)
 }
 
-// UpdateContext is Update under a request context; a traced context
-// records the write path's phases (read view, replacement parse, write
-// labeling, merge) as spans, and the trace's request ID is written into
-// the audit record. The merged document is validated once, strictly,
+// UpdateContext is Update under a request context; the write path's
+// phases run as stages, and the request ID is written into the audit
+// record. The merged document is validated once, strictly,
 // when putDocumentLocked re-parses its text — before anything is
 // journaled — so an invalid merge changes neither the log nor the store.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
@@ -73,9 +72,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// Visibility first: a requester with no read view must not learn
 	// that the document exists from the write path either.
 	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	rctx, sp := trace.StartSpan(ctx, "read-view")
-	readView, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
-	sp.End()
+	readView, err := s.Engine.ComputeViewCtx(ctx, readReq, sd.Doc)
 	if err != nil {
 		return err
 	}
@@ -84,12 +81,13 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	}
 	// Parse the replacement before judging it (malformed input is a
 	// client error regardless of authority).
-	sp = trace.StartChild(ctx, "parse")
+	stages := s.Engine.Stages()
+	st := stages.Begin(ctx, obs.StageParse)
 	res, err := xmlparse.Parse(newSource, xmlparse.Options{
 		Loader:        storeLoader{s.Docs},
 		ApplyDefaults: true,
 	})
-	sp.End()
+	st.End()
 	if err != nil {
 		return fmt.Errorf("server: update of %q: %w", uri, err)
 	}
@@ -102,9 +100,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	}
 	// Write labels on the original document.
 	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
-	wctx, sp := trace.StartSpan(ctx, "write-label")
-	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
-	sp.End()
+	lb, _, err := s.Engine.LabelCtx(ctx, writeReq, sd.Doc)
 	if err != nil {
 		return err
 	}
@@ -112,9 +108,9 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	writable := func(n *dom.Node) bool {
 		return pol.Grants(lb.FinalOf(n))
 	}
-	sp = trace.StartChild(ctx, "merge")
+	st = stages.Begin(ctx, obs.StageMerge)
 	merged, err := core.MergeView(sd.Doc, readView, res.Doc, writable)
-	sp.End()
+	st.End()
 	if err != nil {
 		var wde *core.WriteDeniedError
 		if errors.As(err, &wde) {
@@ -126,7 +122,10 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// The replacement is durable before it is visible: the WAL record
 	// is appended (and, under -fsync always, flushed) before the commit
 	// swaps the parsed tree in, inside putDocumentLocked.
-	nd, err := s.putDocumentLocked(ctx, uri, merged.String())
+	st = stages.Begin(ctx, obs.StageDocSerialize)
+	mergedSource := merged.String()
+	st.End()
+	nd, err := s.putDocumentLocked(ctx, uri, mergedSource)
 	if err != nil {
 		return err
 	}

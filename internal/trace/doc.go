@@ -20,13 +20,14 @@
 //     capture of requests at or above a slow threshold.
 //
 // Traces travel by context.Context: the HTTP middleware starts the
-// root span and stores it with NewContext; every layer below calls
+// root span and stores it with NewContext; every layer below is a
+// stage (obs.Stage) timed by the one primitive
 //
-//	ctx, sp := trace.StartSpan(ctx, "label")
-//	defer sp.End()
+//	st := stages.Begin(ctx, obs.StageLabel)
+//	defer st.End()
 //
-// without knowing whether tracing is on. When the request is untraced
-// (no recorder, or not sampled) StartSpan returns the context unchanged
-// and a nil span, and every Span method is a nil-safe no-op — the
+// without knowing whether tracing is on: End records the stage into its
+// histogram, onto the request's cost card and, only when the request is
+// sampled, as its span. Every Span method is a nil-safe no-op, so the
 // untraced hot path performs no allocation and takes no lock.
 package trace

@@ -31,7 +31,7 @@ type Options struct {
 // costs a few microseconds per request, which is real money against
 // this processor's microsecond-scale cycles; 1-in-16 amortizes that to
 // well under 3% while still filling the ring within seconds under any
-// real traffic (see BENCH_trace.json). Set SampleEvery to 1 to trace
+// real traffic (see BENCH_obs.json, E17). Set SampleEvery to 1 to trace
 // every request while debugging.
 const DefaultSampleEvery = 16
 

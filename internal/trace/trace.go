@@ -154,10 +154,9 @@ func (t *Trace) Finish() {
 	t.rec.record(t)
 }
 
-// startSpan records a child of parent, returning nil (and counting the
-// drop) past the per-trace span bound.
-func (t *Trace) startSpan(name string, parent *Span) *Span {
-	now := time.Now()
+// startSpan records a child of parent started at now, returning nil
+// (and counting the drop) past the per-trace span bound.
+func (t *Trace) startSpan(name string, parent *Span, now time.Time) *Span {
 	t.mu.Lock()
 	if len(t.spans) >= maxSpans {
 		t.dropped++
@@ -173,10 +172,13 @@ func (t *Trace) startSpan(name string, parent *Span) *Span {
 
 // End closes the span. Ending a span twice keeps the first duration.
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s != nil {
+		s.endWith(time.Since(s.start))
 	}
-	d := time.Since(s.start)
+}
+
+// endWith closes the span with a duration its caller already measured.
+func (s *Span) endWith(d time.Duration) {
 	s.tr.mu.Lock()
 	if !s.ended {
 		s.ended = true
@@ -225,8 +227,8 @@ type reqInfo struct {
 	cost *obs.CostCard
 }
 
-// NewContext returns ctx carrying sp as the current span. Passing the
-// result to StartSpan parents new spans under sp.
+// NewContext returns ctx carrying sp as the current span, so spans and
+// stages started under the result nest inside sp.
 func NewContext(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
@@ -250,35 +252,16 @@ func FromContext(ctx context.Context) *Trace {
 	return nil
 }
 
-// StartSpan starts a child of the context's current span and returns a
-// context carrying it. On an untraced context it returns ctx unchanged
-// and a nil span — no allocation, no lock.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.tr.startSpan(name, parent)
-	if child == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, spanKey{}, child), child
-}
-
-// StartChild starts a child of the context's current span without
-// deriving a new context. For leaf spans — ones that never parent
-// further spans — it saves the context allocation StartSpan pays.
+// StartChild starts a child of the context's current span, for the
+// plain spans that are not stages (xpath.eval runs many times per
+// fill or query); layers use Stages.Begin. On an untraced context it
+// returns a nil span — no allocation, no lock.
 func StartChild(ctx context.Context, name string) *Span {
 	parent := SpanFromContext(ctx)
 	if parent == nil {
 		return nil
 	}
-	return parent.tr.startSpan(name, parent)
-}
-
-// WithRequestID returns ctx carrying the request identifier.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return WithRequest(ctx, id, nil)
+	return parent.tr.startSpan(name, parent, time.Now())
 }
 
 // WithRequest returns ctx carrying the request identifier and the
@@ -338,21 +321,19 @@ type Snapshot struct {
 	DurationNs int64     `json:"duration_ns"`
 	// Slow marks traces at or above the recorder's slow threshold.
 	Slow bool `json:"slow,omitempty"`
-	// Stages sums span durations by span name — the per-trace stage
-	// timing table ("where did this cycle's time go") without reading
-	// the span tree.
-	Stages map[string]int64 `json:"stages_ns,omitempty"`
 	// Spans is the full tree in start order; omitted in list views.
 	Spans []SpanSnapshot `json:"spans,omitempty"`
 	// DroppedSpans counts spans past the per-trace bound.
 	DroppedSpans int `json:"dropped_spans,omitempty"`
 	// Cost is the request's cost card, when the middleware attached one
-	// (see obs.CostCard): the work receipt joined to the timing tree.
+	// (see obs.CostCard): the work receipt joined to the timing tree. Its
+	// stages_ns is the per-stage timing table ("where did this cycle's
+	// time go") without reading the span tree.
 	Cost *obs.CostCard `json:"cost,omitempty"`
 }
 
 // Snapshot renders the trace. withSpans selects the full waterfall;
-// without it only the summary (ID, duration, per-stage sums) is built.
+// without it only the summary (ID, duration, cost card) is built.
 // Snapshot is called on finished traces (the rings hold only those);
 // on a live trace it returns a best-effort copy.
 func (t *Trace) Snapshot(withSpans bool) Snapshot {
@@ -363,17 +344,17 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 		Name:         t.name,
 		Start:        t.start,
 		DurationNs:   t.duration.Nanoseconds(),
-		Stages:       make(map[string]int64, 8),
 		DroppedSpans: t.dropped,
 		Cost:         t.cost,
 	}
 	if t.rec != nil && t.rec.slowThreshold > 0 && t.duration >= t.rec.slowThreshold {
 		s.Slow = true
 	}
-	if withSpans {
-		s.Spans = make([]SpanSnapshot, 0, len(t.spans))
+	if !withSpans {
+		return s
 	}
-	for i, sp := range t.spans {
+	s.Spans = make([]SpanSnapshot, 0, len(t.spans))
+	for _, sp := range t.spans {
 		d := sp.duration
 		unfinished := !sp.ended
 		if unfinished {
@@ -382,12 +363,6 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 			if !t.finished {
 				d = time.Since(sp.start)
 			}
-		}
-		if i > 0 { // the root would double-count every stage's parent
-			s.Stages[sp.name] += d.Nanoseconds()
-		}
-		if !withSpans {
-			continue
 		}
 		ss := SpanSnapshot{
 			Name:               sp.name,

@@ -6,22 +6,29 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xmlsec/internal/obs"
 )
 
 func TestUntracedPathIsFreeAndNilSafe(t *testing.T) {
 	ctx := context.Background()
+	stages := NewStages()
 	allocs := testing.AllocsPerRun(100, func() {
-		ctx2, sp := StartSpan(ctx, "label")
-		if sp.Traced() { // hot callers guard annotations with Traced()
+		st := stages.Begin(ctx, obs.StageLabel)
+		if sp := st.Span(); sp.Traced() { // hot callers guard annotations with Traced()
 			sp.Lazyf("never formatted %d", 1)
 		}
-		sp.End()
-		if ctx2 != ctx {
-			t.Fatal("untraced StartSpan must return the context unchanged")
+		if st.Context(ctx) != ctx {
+			t.Fatal("an untraced stage must leave the context unchanged")
 		}
+		st.End()
+		StartChild(ctx, "xpath.eval").End()
 	})
 	if allocs != 0 {
-		t.Errorf("untraced StartSpan allocated %v times per run, want 0", allocs)
+		t.Errorf("untraced stage and span allocated %v times per run, want 0", allocs)
+	}
+	if c := stages.Histograms()[obs.StageLabel]; c == nil {
+		t.Fatal("stage set lacks the label histogram")
 	}
 	// Nil-safety of everything a caller can reach without a recorder.
 	var tr *Trace
@@ -59,14 +66,18 @@ func TestSpanTreeAndStages(t *testing.T) {
 		t.Fatalf("RequestID = %q, want trace ID %q", RequestID(ctx), tr.ID)
 	}
 
-	lctx, label := StartSpan(ctx, "label")
-	_, fill := StartSpan(lctx, "authindex.fill")
-	fill.Lazyf("auth %s selected %d nodes", "<public,/lab,read,+,R>", 7)
+	card := obs.GetCostCard()
+	defer obs.PutCostCard(card)
+	ctx = WithRequest(ctx, tr.ID, card)
+	stages := NewStages()
+	label := stages.Begin(ctx, obs.StageLabel)
+	fill := stages.Begin(label.Context(ctx), obs.StageAuthIndexFill)
+	fill.Span().Lazyf("auth %s selected %d nodes", "<public,/lab,read,+,R>", 7)
 	time.Sleep(time.Millisecond)
-	fill.End()
-	label.End()
-	_, prune := StartSpan(ctx, "prune")
-	prune.End()
+	fillNs := fill.End()
+	labelNs := label.End()
+	stages.Begin(ctx, obs.StagePrune).End()
+	tr.SetCost(*card)
 	tr.Finish()
 
 	snap := tr.Snapshot(true)
@@ -79,31 +90,39 @@ func TestSpanTreeAndStages(t *testing.T) {
 	if len(snap.Spans) != 4 { // root, label, fill, prune
 		t.Fatalf("got %d spans, want 4", len(snap.Spans))
 	}
-	depths := map[string]int{}
+	byName := map[string]SpanSnapshot{}
 	for _, s := range snap.Spans {
-		depths[s.Name] = s.Depth
+		byName[s.Name] = s
 	}
-	if depths["GET /docs/"] != 0 || depths["label"] != 1 || depths["authindex.fill"] != 2 || depths["prune"] != 1 {
-		t.Errorf("span depths wrong: %v", depths)
+	if byName["GET /docs/"].Depth != 0 || byName["label"].Depth != 1 ||
+		byName["authindex.fill"].Depth != 2 || byName["prune"].Depth != 1 {
+		t.Errorf("span depths wrong: %+v", byName)
 	}
-	if snap.Stages["label"] <= 0 || snap.Stages["prune"] < 0 {
-		t.Errorf("stage sums missing: %v", snap.Stages)
+	// One duration per stage: the span, the histogram and the card all
+	// record the value End returned; the card keeps self time.
+	if byName["label"].DurationNs != int64(labelNs) || byName["authindex.fill"].DurationNs != int64(fillNs) {
+		t.Errorf("span durations %d/%d, want End's %d/%d",
+			byName["label"].DurationNs, byName["authindex.fill"].DurationNs, labelNs, fillNs)
 	}
-	if _, ok := snap.Stages["GET /docs/"]; ok {
-		t.Error("root span must not appear in stage sums")
-	}
-	var fillSnap *SpanSnapshot
-	for i := range snap.Spans {
-		if snap.Spans[i].Name == "authindex.fill" {
-			fillSnap = &snap.Spans[i]
+	reg := obs.NewRegistry()
+	reg.RegisterStageHistograms("stage_seconds", "Stage latency.", stages.Histograms())
+	for id, want := range map[obs.Stage]time.Duration{obs.StageLabel: labelNs, obs.StageAuthIndexFill: fillNs} {
+		h := reg.Snapshot().Metric("stage_seconds").Find("stage", id.String()).Histogram
+		if h.Count != 1 || h.Sum != want.Seconds() {
+			t.Errorf("%s histogram = %d obs, sum %v; want 1, %v", id, h.Count, h.Sum, want.Seconds())
 		}
 	}
+	if got := snap.Cost.Stages; got[obs.StageAuthIndexFill] != int64(fillNs) ||
+		got[obs.StageLabel] != int64(labelNs-fillNs) || got[obs.StagePrune] <= 0 {
+		t.Errorf("card stages = %v, want fill %d and label self time %d", got, fillNs, labelNs-fillNs)
+	}
+	fillSnap := byName["authindex.fill"]
 	if len(fillSnap.Annotations) != 1 || !strings.Contains(fillSnap.Annotations[0], "selected 7 nodes") {
 		t.Errorf("annotation missing or unformatted: %v", fillSnap.Annotations)
 	}
-	// Summary view omits spans but keeps stage sums.
+	// Summary view omits spans but keeps the card's stage times.
 	sum := tr.Snapshot(false)
-	if sum.Spans != nil || sum.Stages["label"] != snap.Stages["label"] {
+	if sum.Spans != nil || sum.Cost == nil || sum.Cost.Stages != snap.Cost.Stages {
 		t.Errorf("summary snapshot wrong: %+v", sum)
 	}
 }
@@ -117,8 +136,7 @@ func TestAnnotationAndSpanBounds(t *testing.T) {
 	}
 	ctx := NewContext(context.Background(), root)
 	for i := 0; i < maxSpans+10; i++ {
-		_, sp := StartSpan(ctx, "s")
-		sp.End()
+		StartChild(ctx, "s").End()
 	}
 	tr.Finish()
 	snap := tr.Snapshot(true)
@@ -202,7 +220,7 @@ func TestConcurrentSpansAndFinish(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					_, sp := StartSpan(ctx, "fill")
+					sp := StartChild(ctx, "fill")
 					sp.Lazyf("worker %d iter %d", w, i)
 					sp.End()
 				}
@@ -218,8 +236,7 @@ func TestConcurrentSpansAndFinish(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			tr := rec.Start("r")
-			_, sp := StartSpan(NewContext(context.Background(), tr.Root()), "s")
-			sp.End()
+			StartChild(NewContext(context.Background(), tr.Root()), "s").End()
 			tr.Finish()
 		}
 	}()

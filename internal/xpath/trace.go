@@ -19,16 +19,15 @@ func (p *Path) SelectDocCtx(ctx stdcontext.Context, doc *dom.Document) ([]*dom.N
 		card.TreeXPathEvals++
 	}
 	sp := trace.StartChild(ctx, "xpath.eval")
-	if sp == nil {
-		return p.SelectDoc(doc)
-	}
 	nodes, err := p.SelectDoc(doc)
-	if err != nil {
-		sp.Lazyf("%s: %v", p.src, err)
-	} else {
-		sp.Lazyf("%s -> %d nodes", p.src, len(nodes))
+	if sp.Traced() {
+		if err != nil {
+			sp.Lazyf("%s: %v", p.src, err)
+		} else {
+			sp.Lazyf("%s -> %d nodes", p.src, len(nodes))
+		}
+		sp.End()
 	}
-	sp.End()
 	return nodes, err
 }
 
@@ -37,36 +36,26 @@ func (p *Path) SelectDocCtx(ctx stdcontext.Context, doc *dom.Document) ([]*dom.N
 // which evaluator ran (arena or tree). With an untraced context it is
 // exactly SelectIndexes.
 func (p *Path) SelectIndexesCtx(ctx stdcontext.Context, doc *dom.Document) ([]int32, bool, error) {
-	card := trace.CostFromContext(ctx)
 	sp := trace.StartChild(ctx, "xpath.eval")
-	if sp == nil {
-		idx, viaArena, err := p.SelectIndexes(doc)
-		if card != nil {
-			if viaArena {
-				card.ArenaXPathEvals++
-			} else {
-				card.TreeXPathEvals++
-			}
-		}
-		return idx, viaArena, err
-	}
 	idx, viaArena, err := p.SelectIndexes(doc)
-	route := "tree"
-	if viaArena {
-		route = "arena"
-	}
-	if card != nil {
+	if card := trace.CostFromContext(ctx); card != nil {
 		if viaArena {
 			card.ArenaXPathEvals++
 		} else {
 			card.TreeXPathEvals++
 		}
 	}
-	if err != nil {
-		sp.Lazyf("%s [%s]: %v", p.src, route, err)
-	} else {
-		sp.Lazyf("%s [%s] -> %d nodes", p.src, route, len(idx))
+	if sp.Traced() {
+		route := "tree"
+		if viaArena {
+			route = "arena"
+		}
+		if err != nil {
+			sp.Lazyf("%s [%s]: %v", p.src, route, err)
+		} else {
+			sp.Lazyf("%s [%s] -> %d nodes", p.src, route, len(idx))
+		}
+		sp.End()
 	}
-	sp.End()
 	return idx, viaArena, err
 }

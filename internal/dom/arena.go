@@ -58,6 +58,19 @@ type Arena struct {
 	docType    *DocType
 }
 
+// explicitMask returns the mask that shows every node except the
+// attributes DTD defaulting supplied, or nil when there are none.
+func (a *Arena) explicitMask() Bitmask {
+	if a.defaulted.Count() == 0 {
+		return nil
+	}
+	m := make(Bitmask, len(a.defaulted))
+	for i, w := range a.defaulted {
+		m[i] = ^w
+	}
+	return m
+}
+
 // buildArena flattens a renumbered document into a fresh arena.
 func buildArena(d *Document) *Arena {
 	n := d.NodeCount()

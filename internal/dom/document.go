@@ -156,7 +156,16 @@ func (d *Document) NodeCount() int {
 
 // Clone returns a deep copy of the document, renumbered.
 func (d *Document) Clone() *Document {
-	return d.CloneMasked(nil)
+	c, _ := d.CloneIndexed()
+	return c
+}
+
+// CloneIndexed is Clone that also returns the copy's node slab: the
+// copy's nodes in preorder, so nodes[i] is the copy of the node whose
+// index is i. Callers that address nodes by index (update.Apply) read
+// it instead of walking the copy for a node table.
+func (d *Document) CloneIndexed() (*Document, []Node) {
+	return d.cloneInto(nil, d.NodeCount())
 }
 
 // CloneMasked returns a deep copy of the document restricted to the
@@ -170,39 +179,91 @@ func (d *Document) Clone() *Document {
 // standalone tree (validation, XPath queries, offline tools). The serve
 // path never calls it; it serializes through the mask instead.
 func (d *Document) CloneMasked(mask Bitmask) *Document {
-	var cloneNode func(n *Node) *Node
-	cloneNode = func(n *Node) *Node {
-		c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, Order: n.Order, Defaulted: n.Defaulted}
-		for _, a := range n.Attrs {
-			if !mask.Visible(a) {
-				continue
-			}
-			ac := cloneNode(a)
-			ac.Parent = c
-			c.Attrs = append(c.Attrs, ac)
-		}
-		for _, ch := range n.Children {
-			if !mask.Visible(ch) {
-				continue
-			}
-			cc := cloneNode(ch)
-			cc.Parent = c
-			c.Children = append(c.Children, cc)
-		}
-		return c
+	if mask == nil {
+		return d.Clone()
 	}
+	n := mask.Count()
+	if !mask.Get(0) {
+		n++ // the document node is always copied
+	}
+	c, _ := d.cloneInto(mask, n)
+	return c
+}
+
+// cloneInto copies the mask-visible nodes into one slab of n nodes and
+// their child and attribute lists into one slab of pointers, as the
+// parser lays out a parse, and returns the copy with its first slab.
+func (d *Document) cloneInto(mask Bitmask, n int) (*Document, []Node) {
+	cl := &cloner{mask: mask, nodes: make([]Node, 0, n), ptrs: make([]*Node, 0, max(n-1, 0))}
+	first := cl.nodes
 	c := &Document{
-		Node:       cloneNode(d.Node),
+		Node:       cl.node(d.Node, nil),
 		Version:    d.Version,
 		Encoding:   d.Encoding,
 		Standalone: d.Standalone,
+		nodeCount:  cl.next,
 	}
 	if d.DocType != nil {
 		dt := *d.DocType
 		c.DocType = &dt
 	}
-	c.Renumber()
+	return c, first[:min(cl.next, cap(first))]
+}
+
+// cloner hands out the nodes and list slices of one copy. Nodes are
+// numbered as they are copied, in preorder, so the copy needs no
+// Renumber walk. A slab that runs short (a numbering that undercounts
+// the tree) continues in a fresh chunk rather than failing.
+type cloner struct {
+	mask  Bitmask
+	nodes []Node
+	ptrs  []*Node
+	next  int
+}
+
+func (cl *cloner) node(n, parent *Node) *Node {
+	if len(cl.nodes) == cap(cl.nodes) {
+		cl.nodes = make([]Node, 0, max(cap(cl.nodes)/4, 16))
+	}
+	cl.nodes = cl.nodes[:len(cl.nodes)+1]
+	c := &cl.nodes[len(cl.nodes)-1]
+	*c = Node{Type: n.Type, Name: n.Name, Data: n.Data, Parent: parent, Order: cl.next, Defaulted: n.Defaulted}
+	cl.next++
+	c.Attrs = cl.list(n.Attrs, c)
+	c.Children = cl.list(n.Children, c)
 	return c
+}
+
+// list copies the visible nodes of src under parent into an exactly
+// sized slice whose capacity is its length, so a later append (an edit
+// of the copy) reallocates instead of overwriting a neighbour's list.
+func (cl *cloner) list(src []*Node, parent *Node) []*Node {
+	k := len(src)
+	if cl.mask != nil {
+		k = 0
+		for _, s := range src {
+			if cl.mask.Visible(s) {
+				k++
+			}
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	if cap(cl.ptrs)-len(cl.ptrs) < k {
+		cl.ptrs = make([]*Node, 0, max(k, cap(cl.ptrs)/4, 16))
+	}
+	at := len(cl.ptrs)
+	cl.ptrs = cl.ptrs[:at+k]
+	out := cl.ptrs[at : at+k : at+k]
+	j := 0
+	for _, s := range src {
+		if cl.mask.Visible(s) {
+			out[j] = cl.node(s, parent)
+			j++
+		}
+	}
+	return out
 }
 
 // CountNodes returns the number of element and attribute nodes in the

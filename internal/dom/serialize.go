@@ -193,6 +193,29 @@ func (d *Document) String() string {
 	return b.String()
 }
 
+// SourceString serializes the document as stored source text: through
+// its arena (built first if missing) into a buffer sized once from the
+// arena's size hint, leaving out the attributes marked Defaulted. A
+// defaulting parse of the text supplies them again, so it rebuilds the
+// document exactly; this is the text a committed edit stores.
+func (d *Document) SourceString() string {
+	a := d.Arena()
+	var b strings.Builder
+	b.Grow(d.prologLen() + a.SizeHint())
+	_ = d.Write(&b, WriteOptions{Mask: a.explicitMask()})
+	return b.String()
+}
+
+// prologLen bounds the length of the XML declaration and DOCTYPE that
+// Write emits before the body.
+func (d *Document) prologLen() int {
+	n := 64 + len(d.Version) + len(d.Encoding) + len(d.Standalone)
+	if dt := d.DocType; dt != nil {
+		n += 32 + len(dt.Name) + len(dt.PublicID) + len(dt.SystemID) + len(dt.InternalSubset)
+	}
+	return n
+}
+
 // StringIndent serializes the document pretty-printed with the given
 // indent unit, without XML declaration, DOCTYPE, or trailing newline —
 // a convenient form for tests and golden comparisons.

@@ -185,17 +185,41 @@ func (v *validator) attributes(n *dom.Node) {
 		v.attrValue(a, def)
 	}
 	for _, def := range defs {
-		if _, present := n.Attr(def.Name); present {
+		if def.Default != RequiredDefault {
 			continue
 		}
-		switch def.Default {
-		case RequiredDefault:
+		if _, present := n.Attr(def.Name); !present {
 			v.errf(n, "required attribute %q of element %q is missing", def.Name, n.Name)
-		case FixedDefault, ValueDefault:
-			if v.opts.ApplyDefaults {
-				a := n.SetAttr(def.Name, def.Value)
-				a.Defaulted = true
-			}
+		}
+	}
+	if v.opts.ApplyDefaults {
+		v.dtd.defaultAttrs(n)
+	}
+}
+
+// ApplyDefaults adds the declared default and #FIXED values of the
+// attributes missing from each element of the subtree rooted at n,
+// marking them Defaulted — the attribute defaulting of a validating
+// XML processor, without the validation. The parser's ApplyDefaults
+// option and the commit of an edited document both run it.
+func (d *DTD) ApplyDefaults(n *dom.Node) {
+	d.defaultAttrs(n)
+	for _, c := range n.Children {
+		if c.Type == dom.ElementNode {
+			d.ApplyDefaults(c)
+		}
+	}
+}
+
+// defaultAttrs is ApplyDefaults for element n alone.
+func (d *DTD) defaultAttrs(n *dom.Node) {
+	for _, def := range d.Attlists[n.Name] {
+		if def.Default != ValueDefault && def.Default != FixedDefault {
+			continue
+		}
+		if _, present := n.Attr(def.Name); !present {
+			a := n.SetAttr(def.Name, def.Value)
+			a.Defaulted = true
 		}
 	}
 }

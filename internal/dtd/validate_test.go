@@ -130,6 +130,14 @@ func TestValidateApplyDefaults(t *testing.T) {
 	if !item.AttrNode("kind").Defaulted {
 		t.Error("defaulted attribute not marked")
 	}
+
+	// ApplyDefaults alone supplies exactly what validation supplies.
+	_, bare := validate(t, `<root version="1"><item id="i1">x</item></root>`, dtd.ValidateOptions{})
+	d := dtd.MustParse(validateDTD)
+	d.ApplyDefaults(bare.Doc.DocumentElement())
+	if got, want := bare.Doc.String(), res.Doc.String(); got != want {
+		t.Errorf("ApplyDefaults gives %s, validation's defaulting %s", got, want)
+	}
 }
 
 func TestValidationErrorsAggregate(t *testing.T) {

@@ -25,8 +25,8 @@ const (
 	StageMerge                      // write-through-views merge of a PUT
 	StageUpdateResolve              // update-script targets resolved and authorized
 	StageUpdateApply                // copy-on-write clone + script operations
-	StageDocSerialize               // new document generation serialized to text
-	StageDocPrepare                 // new generation re-parsed, arena built, strictly validated
+	StageDocSerialize               // new generation serialized once through its arena, and hashed
+	StageDocPrepare                 // new generation built: edits normalized, defaulted, validated, arena built
 	StageWALAppend                  // durable log append (the fsync wait under SyncAlways)
 	NumStages
 )

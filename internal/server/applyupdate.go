@@ -76,7 +76,9 @@ func (e *ScriptError) Is(target error) bool {
 // Commits are copy-on-write: the update builds a whole new StoredDoc
 // under a new store generation while concurrent readers keep the old
 // one (and any views cached from it; the generation key retires them).
-// Durability is a delta: the WAL journals the canonical script plus the
+// The edited copy is committed directly through DocStore.prepareEdited,
+// with no serialize→reparse round trip; that the result equals
+// parse(serialize(apply)) is the tested invariant. Durability is a delta: the WAL journals the canonical script plus the
 // resolved target indexes and pre/post content hashes — not the
 // document — and replay re-applies it deterministically.
 func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scriptSrc string) (err error) {
@@ -130,23 +132,17 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		}
 		return err
 	}
-	st = stages.Begin(ctx, obs.StageDocSerialize)
-	newSource := out.String()
-	st.End()
-	// Re-parse and re-validate the updated source exactly as a PUT
-	// would: the committed StoredDoc must be parse(serialize(apply)),
-	// the same tree replay reconstructs, and an update that breaks DTD
-	// validity fails here with nothing committed.
-	st = stages.Begin(ctx, obs.StageDocPrepare)
-	nd, err := s.Docs.prepareDocument(uri, newSource)
-	st.End()
+	// An update that breaks DTD validity fails here with nothing
+	// committed; replay rebuilds the same generation through the same
+	// routine.
+	nd, err := s.Docs.prepareEdited(ctx, stages, sd, out)
 	if err != nil {
 		return err
 	}
 	if err := s.logMutation(ctx, mutation{
 		Op: "update", URI: uri, Ver: updateRecordVersion,
 		Script: script.Canonical(), Targets: res.Targets,
-		PreHash: contentHash(sd.Source), PostHash: contentHash(newSource),
+		PreHash: sd.Hash, PostHash: nd.Hash,
 	}); err != nil {
 		return err
 	}

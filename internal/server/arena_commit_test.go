@@ -15,7 +15,9 @@ import (
 // that build is not safe under concurrent readers. Every path that
 // installs a document — registration, both PUT forms, update scripts,
 // WAL replay and snapshot restore — and the per-request parse must
-// therefore hand over a parsed document with its arena built.
+// therefore hand over a document with its arena built. Each committed
+// generation also carries the hash of its Source, which WAL records
+// fingerprint generations with.
 func TestEveryCommitPathBuildsArena(t *testing.T) {
 	sam := subjects.Requester{User: "Sam", IP: "130.89.56.8", Host: "adminhost.lab.com"}
 	check := func(path string, site *Site) {
@@ -26,6 +28,9 @@ func TestEveryCommitPathBuildsArena(t *testing.T) {
 		}
 		if sd.Doc.ArenaIfBuilt() == nil {
 			t.Errorf("%s: committed document has no arena", path)
+		}
+		if sd.Hash != contentHash(sd.Source) {
+			t.Errorf("%s: committed document's Hash is not the hash of its Source", path)
 		}
 	}
 

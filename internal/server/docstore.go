@@ -1,12 +1,15 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
+	"xmlsec/internal/obs"
+	"xmlsec/internal/trace"
 	"xmlsec/internal/xmlparse"
 )
 
@@ -15,8 +18,13 @@ import (
 type StoredDoc struct {
 	// URI is the document's identifier (the authorization object key).
 	URI string
-	// Source is the original XML text.
+	// Source is the XML text: the text registered or PUT, or, for a
+	// committed edit, the edited document serialized (see
+	// DocStore.prepareEdited). Parsing it rebuilds Doc.
 	Source string
+	// Hash is contentHash(Source), computed once when the generation
+	// is prepared; WAL records fingerprint generations with it.
+	Hash string
 	// DTDURI is the URI of the DTD the document is an instance of;
 	// empty for DTD-less documents.
 	DTDURI string
@@ -110,30 +118,115 @@ func (s *DocStore) AddDocument(uri, source string) error {
 // prepareDocument parses and validates a document against the store's
 // registered DTDs without committing it, so callers can make the
 // registration durable between validation and the in-memory commit.
+// It serves text inputs only — AddDocument, PutDocument, snapshot
+// restore and "doc" records; an edit of a stored document commits
+// through prepareEdited.
 func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
-	s.mu.RLock()
-	loader := make(xmlparse.MapLoader, len(s.srcs))
-	for u, src := range s.srcs {
-		loader[u] = src
-	}
-	s.mu.RUnlock()
-
-	res, err := xmlparse.Parse(source, xmlparse.Options{Loader: loader, ApplyDefaults: true})
+	res, err := xmlparse.Parse(source, xmlparse.Options{ResolveDTD: s.resolveDTD, ApplyDefaults: true})
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", uri, err)
 	}
-	sd := &StoredDoc{URI: uri, Source: source, Doc: res.Doc, Arena: res.Arena}
-	if res.Doc.DocType != nil && res.Doc.DocType.SystemID != "" {
-		sd.DTDURI = res.Doc.DocType.SystemID
-	}
-	if res.DTD != nil {
-		sd.DTD = res.DTD
-		sd.DTD.Name = res.Doc.DocType.Name
-		if errs := sd.DTD.Validate(res.Doc, dtd.ValidateOptions{}); errs != nil {
-			return nil, fmt.Errorf("server: document %q is not valid: %w", uri, errs)
-		}
+	sd := &StoredDoc{URI: uri, Source: source, Hash: contentHash(source), Doc: res.Doc, Arena: res.Arena, DTD: res.DTD}
+	if err := sd.bindDTD(); err != nil {
+		return nil, err
 	}
 	return sd, nil
+}
+
+// prepareEdited builds the next generation of prev from out, an edited
+// private copy of prev's tree (update.Apply's result, or MergeView's),
+// without a serialize→reparse round trip: out is normalized to the tree
+// a parse of its text would rebuild, given the DTD's attribute
+// defaults, strictly validated against the DTD its DOCTYPE resolves to
+// now, renumbered, flattened into its arena, and serialized once. The
+// result equals prepareDocument(prev.URI, result.Source) node for node
+// (TestEditedCommitParity, FuzzEditedCommitParity). out is consumed.
+// The work runs as the doc.prepare stage, the serialization as
+// doc.serialize.
+func (s *DocStore) prepareEdited(ctx context.Context, stages *trace.Stages, prev *StoredDoc, out *dom.Document) (*StoredDoc, error) {
+	st := stages.Begin(ctx, obs.StageDocPrepare)
+	sd, err := s.normalizeEdited(prev.URI, out)
+	st.End()
+	if err != nil {
+		return nil, err
+	}
+	st = stages.Begin(ctx, obs.StageDocSerialize)
+	sd.Source = out.SourceString()
+	sd.Hash = contentHash(sd.Source)
+	st.End()
+	return sd, nil
+}
+
+// normalizeEdited is prepareEdited up to the serialization.
+func (s *DocStore) normalizeEdited(uri string, out *dom.Document) (*StoredDoc, error) {
+	out.Normalize()
+	if out.DocumentElement() == nil {
+		return nil, fmt.Errorf("server: document %q has no document element", uri)
+	}
+	sd := &StoredDoc{URI: uri, Doc: out}
+	if out.DocType != nil {
+		d, err := s.resolveDTD(out.DocType)
+		if err != nil {
+			return nil, fmt.Errorf("server: document %q: %w", uri, err)
+		}
+		d.ApplyDefaults(out.DocumentElement())
+		sd.DTD = d
+	}
+	if err := sd.bindDTD(); err != nil {
+		return nil, err
+	}
+	out.Renumber()
+	sd.Arena = out.BuildArena()
+	return sd, nil
+}
+
+// bindDTD records the document's DTD URI and validates the document
+// strictly against its DTD, if it has one.
+func (sd *StoredDoc) bindDTD() error {
+	if dt := sd.Doc.DocType; dt != nil {
+		sd.DTDURI = dt.SystemID
+	}
+	if sd.DTD != nil {
+		if errs := sd.DTD.Validate(sd.Doc, dtd.ValidateOptions{}); errs != nil {
+			return fmt.Errorf("server: document %q is not valid: %w", sd.URI, errs)
+		}
+	}
+	return nil
+}
+
+// resolveDTD returns the DTD a document type declaration resolves to in
+// the store now: its internal subset, then the registered DTD its
+// system identifier names (nothing is fetched). Without an internal
+// subset that is the registered DTD itself, shared read-only under the
+// declared document element name; with one, the two subsets are
+// parsed afresh, the internal one first, as XML precedence requires.
+func (s *DocStore) resolveDTD(dt *dom.DocType) (*dtd.DTD, error) {
+	var src string
+	if dt.SystemID != "" {
+		s.mu.RLock()
+		shared, ok := s.dtds[dt.SystemID]
+		src = s.srcs[dt.SystemID]
+		s.mu.RUnlock()
+		if !ok {
+			return nil, fmt.Errorf("server: DTD %q not registered", dt.SystemID)
+		}
+		if dt.InternalSubset == "" {
+			named := *shared
+			named.Name = dt.Name
+			return &named, nil
+		}
+	}
+	d := dtd.NewDTD()
+	d.Name = dt.Name
+	if err := d.ParseSubset(dt.InternalSubset); err != nil {
+		return nil, fmt.Errorf("internal subset: %w", err)
+	}
+	if src != "" {
+		if err := d.ParseSubset(src); err != nil {
+			return nil, fmt.Errorf("external subset %q: %w", dt.SystemID, err)
+		}
+	}
+	return d, nil
 }
 
 // commitDocument installs a prepared document.

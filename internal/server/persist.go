@@ -12,7 +12,6 @@ import (
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
-	"xmlsec/internal/dom"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
@@ -39,9 +38,11 @@ type DurabilityOptions struct {
 
 // mutation is the WAL record format for site state changes: the
 // operation plus exactly the inputs needed to re-apply it. Sources are
-// logged as text — replay re-runs the same parse/validate path the
-// original request took, so a record that was applied once always
-// applies again.
+// logged as text and update deltas as scripts — replay re-runs the
+// validation the original request passed (a delta through the same
+// commit routine, a document's text through the parse its direct
+// commit is parity-tested against), so a record that was applied once
+// always applies again.
 type mutation struct {
 	// Op is "doc" (document add/replace), "update" (targeted update
 	// delta), "dtd" (DTD registration), "xacl" (authorization list
@@ -70,7 +71,8 @@ type mutation struct {
 	Script  string    `json:"script,omitempty"`
 	Targets [][]int32 `json:"targets,omitempty"`
 	// PreHash and PostHash fingerprint the document source before and
-	// after a "doc" or "update" mutation (see contentHash). Replay
+	// after a "doc" or "update" mutation (StoredDoc.Hash of the two
+	// generations; see contentHash). Replay
 	// verifies both, so state divergence — a log edited by hand, a
 	// serializer that changed between versions — fails recovery loudly
 	// instead of silently installing the wrong document. Records
@@ -85,10 +87,17 @@ type mutation struct {
 const updateRecordVersion = 1
 
 // contentHash fingerprints document source text for replay divergence
-// detection.
+// detection. The text is fed through a small buffer rather than
+// converted to one []byte, which would copy the whole document.
 func contentHash(src string) string {
-	h := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(h[:])
+	h := sha256.New()
+	var buf [4096]byte
+	for len(src) > 0 {
+		n := copy(buf[:], src)
+		h.Write(buf[:n])
+		src = src[n:]
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // siteSnapshot is the snapshot payload: the site's full mutable state.
@@ -243,27 +252,18 @@ func (s *Site) logMutation(ctx context.Context, m mutation) error {
 func (s *Site) applyMutation(m mutation) error {
 	switch m.Op {
 	case "doc":
-		var old *dom.Document
-		var oldSource string
-		if sd := s.Docs.Doc(m.URI); sd != nil {
-			old, oldSource = sd.Doc, sd.Source
-		}
-		if m.PreHash != "" && contentHash(oldSource) != m.PreHash {
+		prev := s.Docs.Doc(m.URI)
+		if m.PreHash != "" && (prev == nil || prev.Hash != m.PreHash) {
 			return fmt.Errorf("server: replaying %q: pre-state hash mismatch (log diverges from replayed state)", m.URI)
 		}
-		if m.PostHash != "" && contentHash(m.Source) != m.PostHash {
-			return fmt.Errorf("server: replaying %q: record content does not match its own hash", m.URI)
-		}
-		if err := s.Docs.AddDocument(m.URI, m.Source); err != nil {
+		sd, err := s.Docs.prepareDocument(m.URI, m.Source)
+		if err != nil {
 			return err
 		}
-		// The replay replaced a parsed tree: release the superseded
-		// pointer from the node-set index (warming waits for traffic).
-		if old != nil {
-			if idx := s.Engine.AuthIndex(); idx != nil {
-				idx.InvalidateDoc(old)
-			}
+		if m.PostHash != "" && sd.Hash != m.PostHash {
+			return fmt.Errorf("server: replaying %q: record content does not match its own hash", m.URI)
 		}
+		s.replayCommit(prev, sd)
 		return nil
 	case "update":
 		return s.replayUpdate(m)
@@ -294,14 +294,15 @@ func (s *Site) applyMutation(m mutation) error {
 
 // replayUpdate re-applies an update delta record: parse the journaled
 // script, re-execute it against the recorded target indexes on the
-// replayed tree, and install the result — the recovery half of
-// ApplyUpdate. Authorization is not re-checked: the record exists only
-// because the original request passed it, and the identity predicates
-// would need state the log does not carry. The pre/post content hashes
-// guard the substituted trust: if the replayed tree is not the tree the
-// delta was resolved against, or the re-applied result is not the
-// document the site served afterwards, recovery fails rather than
-// serving a silently different document.
+// replayed tree, and commit the result through prepareEdited — the
+// recovery half of ApplyUpdate, down to the same commit routine.
+// Authorization is not re-checked: the record exists only because the
+// original request passed it, and the identity predicates would need
+// state the log does not carry. The pre/post content hashes guard the
+// substituted trust: if the replayed tree is not the tree the delta
+// was resolved against, or the re-applied result is not the document
+// the site served afterwards, recovery fails rather than serving a
+// silently different document.
 func (s *Site) replayUpdate(m mutation) error {
 	if m.Ver != updateRecordVersion {
 		return fmt.Errorf("server: update record for %q has version %d; this build understands %d", m.URI, m.Ver, updateRecordVersion)
@@ -310,7 +311,7 @@ func (s *Site) replayUpdate(m mutation) error {
 	if sd == nil {
 		return fmt.Errorf("server: update record for unknown document %q", m.URI)
 	}
-	if m.PreHash != "" && contentHash(sd.Source) != m.PreHash {
+	if m.PreHash != "" && sd.Hash != m.PreHash {
 		return fmt.Errorf("server: replaying update of %q: pre-state hash mismatch (log diverges from replayed state)", m.URI)
 	}
 	script, err := update.ParseScript(m.Script)
@@ -321,17 +322,27 @@ func (s *Site) replayUpdate(m mutation) error {
 	if err != nil {
 		return fmt.Errorf("server: replaying update of %q: %w", m.URI, err)
 	}
-	newSource := out.String()
-	if m.PostHash != "" && contentHash(newSource) != m.PostHash {
-		return fmt.Errorf("server: replaying update of %q: post-state hash mismatch (replay diverged from the committed document)", m.URI)
-	}
-	if err := s.Docs.AddDocument(m.URI, newSource); err != nil {
+	nd, err := s.Docs.prepareEdited(context.Background(), nil, sd, out)
+	if err != nil {
 		return err
 	}
-	if idx := s.Engine.AuthIndex(); idx != nil {
-		idx.InvalidateDoc(sd.Doc)
+	if m.PostHash != "" && nd.Hash != m.PostHash {
+		return fmt.Errorf("server: replaying update of %q: post-state hash mismatch (replay diverged from the committed document)", m.URI)
 	}
+	s.replayCommit(sd, nd)
 	return nil
+}
+
+// replayCommit installs a replayed generation and releases the
+// superseded tree, if any, from the node-set index (warming waits for
+// traffic).
+func (s *Site) replayCommit(prev, sd *StoredDoc) {
+	s.Docs.commitDocument(sd)
+	if prev != nil {
+		if idx := s.Engine.AuthIndex(); idx != nil {
+			idx.InvalidateDoc(prev.Doc)
+		}
+	}
 }
 
 func parseLevel(s string) authz.Level {
@@ -345,39 +356,31 @@ func parseLevel(s string) authz.Level {
 // validate, append the WAL record, then commit — so a crash at any
 // point leaves either the old document or the new one.
 func (s *Site) PutDocument(uri, source string) error {
-	return s.PutDocumentContext(context.Background(), uri, source)
-}
-
-// PutDocumentContext is PutDocument under a request context (the
-// update path threads its trace through here).
-func (s *Site) PutDocumentContext(ctx context.Context, uri, source string) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	_, err := s.putDocumentLocked(ctx, uri, source)
-	return err
-}
-
-// putDocumentLocked is PutDocumentContext for callers that already
-// hold persistMu (the write-through-views update, which must not let
-// another write slide between its snapshot and its commit). It returns
-// the committed document.
-func (s *Site) putDocumentLocked(ctx context.Context, uri, source string) (*StoredDoc, error) {
+	ctx := context.Background()
 	st := s.Engine.Stages().Begin(ctx, obs.StageDocPrepare)
 	sd, err := s.Docs.prepareDocument(uri, source)
 	st.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := mutation{Op: "doc", URI: uri, Source: source, PostHash: contentHash(source)}
-	if prev := s.Docs.Doc(uri); prev != nil {
-		m.PreHash = contentHash(prev.Source)
+	return s.commitDocLocked(ctx, sd)
+}
+
+// commitDocLocked journals a prepared document as a "doc" record, then
+// installs it. Callers hold persistMu.
+func (s *Site) commitDocLocked(ctx context.Context, sd *StoredDoc) error {
+	m := mutation{Op: "doc", URI: sd.URI, Source: sd.Source, PostHash: sd.Hash}
+	if prev := s.Docs.Doc(sd.URI); prev != nil {
+		m.PreHash = prev.Hash
 	}
 	if err := s.logMutation(ctx, m); err != nil {
-		return nil, err
+		return err
 	}
 	s.Docs.commitDocument(sd)
 	s.maybeCompact()
-	return sd, nil
+	return nil
 }
 
 // PutDTD registers a DTD durably.

@@ -328,7 +328,7 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 	if s.ParsePerRequest {
 		st := stages.Begin(ctx, obs.StageParse)
 		res, err := xmlparse.Parse(sd.Source, xmlparse.Options{
-			Loader:        storeLoader{s.Docs},
+			ResolveDTD:    s.Docs.resolveDTD,
 			ApplyDefaults: true,
 		})
 		st.End()
@@ -433,16 +433,6 @@ func (s *Site) ClassStats() subjects.ClassIndexStats {
 		return subjects.ClassIndexStats{}
 	}
 	return s.classes.Stats()
-}
-
-// storeLoader adapts the DocStore's DTD registry to the parser.
-type storeLoader struct{ docs *DocStore }
-
-func (l storeLoader) LoadDTD(systemID string) (string, error) {
-	if src, ok := l.docs.DTDSource(systemID); ok {
-		return src, nil
-	}
-	return "", fmt.Errorf("server: DTD %q not registered", systemID)
 }
 
 // RequesterFor builds the subject triple for a connection: the

@@ -53,9 +53,10 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 
 // UpdateContext is Update under a request context; the write path's
 // phases run as stages, and the request ID is written into the audit
-// record. The merged document is validated once, strictly,
-// when putDocumentLocked re-parses its text — before anything is
-// journaled — so an invalid merge changes neither the log nor the store.
+// record. The merged document is validated once, strictly, when
+// prepareEdited builds the next generation from it — before anything
+// is journaled — so an invalid merge changes neither the log nor the
+// store.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
 	defer func() { s.auditWrite(ctx, rq, uri, err) }()
 	// The whole snapshot→judge→merge→commit sequence runs under the
@@ -83,10 +84,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// client error regardless of authority).
 	stages := s.Engine.Stages()
 	st := stages.Begin(ctx, obs.StageParse)
-	res, err := xmlparse.Parse(newSource, xmlparse.Options{
-		Loader:        storeLoader{s.Docs},
-		ApplyDefaults: true,
-	})
+	res, err := xmlparse.Parse(newSource, xmlparse.Options{ResolveDTD: s.Docs.resolveDTD, ApplyDefaults: true})
 	st.End()
 	if err != nil {
 		return fmt.Errorf("server: update of %q: %w", uri, err)
@@ -118,15 +116,15 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 		}
 		return err
 	}
-	oldDoc := sd.Doc
-	// The replacement is durable before it is visible: the WAL record
-	// is appended (and, under -fsync always, flushed) before the commit
-	// swaps the parsed tree in, inside putDocumentLocked.
-	st = stages.Begin(ctx, obs.StageDocSerialize)
-	mergedSource := merged.String()
-	st.End()
-	nd, err := s.putDocumentLocked(ctx, uri, mergedSource)
+	// The merged copy becomes the next generation directly, validated
+	// strictly before anything is journaled; the replacement is durable
+	// before it is visible (commitDocLocked appends the WAL record, and
+	// under -fsync always flushes it, before the swap).
+	nd, err := s.Docs.prepareEdited(ctx, stages, sd, merged)
 	if err != nil {
+		return err
+	}
+	if err := s.commitDocLocked(ctx, nd); err != nil {
 		return err
 	}
 	// The PUT replaced the parsed tree: release the superseded document
@@ -134,7 +132,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// up again, only pinned) and pre-fill the successor so the next
 	// requester's labeling finds warm node-sets.
 	if idx := s.Engine.AuthIndex(); idx != nil {
-		idx.InvalidateDoc(oldDoc)
+		idx.InvalidateDoc(sd.Doc)
 		s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
 	}
 	return nil

@@ -42,16 +42,17 @@ func Apply(doc *dom.Document, s *Script, targets [][]int32) (*dom.Document, int,
 	if len(targets) != len(s.Ops) {
 		return nil, 0, fmt.Errorf("update: %d target sets for %d operations", len(targets), len(s.Ops))
 	}
-	out := doc.Clone()
+	// The copy's node slab is in preorder, so it is also the table
+	// from target index to copied node.
+	out, nodes := doc.CloneIndexed()
 	copied := out.NodeCount()
-	nodes := nodeTable(out)
 	for i := range s.Ops {
 		op := &s.Ops[i]
 		for _, t := range targets[i] {
-			if int(t) < 0 || int(t) >= len(nodes) || nodes[t] == nil {
+			if int(t) < 0 || int(t) >= len(nodes) {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target index %d out of range", t)}
 			}
-			n := nodes[t]
+			n := &nodes[t]
 			if !attached(out, n) {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target %s was removed by an earlier operation", op.Target)}
 			}

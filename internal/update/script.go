@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"xmlsec/internal/dom"
+	"xmlsec/internal/dtd"
 	"xmlsec/internal/xmlparse"
 	"xmlsec/internal/xpath"
 )
@@ -236,6 +237,9 @@ func (op *Op) validate() error {
 		}
 		if op.Name == "" {
 			return fmt.Errorf("missing attribute name")
+		}
+		if !dtd.IsName(op.Name) {
+			return fmt.Errorf("attribute name %q is not an XML name", op.Name)
 		}
 	default:
 		return fmt.Errorf("unknown operation")

@@ -53,6 +53,8 @@ func TestParseScriptRejects(t *testing.T) {
 		{"replace-node two elements", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"<x/><y/>"}]}`},
 		{"replace-node text", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"just text"}]}`},
 		{"set-attr no name", `{"ops":[{"op":"set-attr","target":"/a","value":"1"}]}`},
+		{"set-attr name not an XML name", `{"ops":[{"op":"set-attr","target":"/a","name":"two words","value":"1"}]}`},
+		{"compact set-attr name not an XML name", "set-attr /a 1st=v"},
 		{"delete with argument", `{"ops":[{"op":"delete","target":"/a","xml":"<x/>"}]}`},
 		{"mixed arguments", `{"ops":[{"op":"insert-into","target":"/a","xml":"<x/>","text":"t"}]}`},
 		{"compact delete with argument", "delete /a <x/>"},

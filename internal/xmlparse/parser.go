@@ -70,6 +70,12 @@ type Options struct {
 	// are skipped (the internal subset is still parsed).
 	Loader Loader
 
+	// ResolveDTD, when set, supplies the DTD of a document that has a
+	// DOCTYPE, in place of parsing its internal subset and loading its
+	// external one through Loader. The parser only reads the result, so
+	// a resolver may return a DTD it shares with other parses.
+	ResolveDTD func(*dom.DocType) (*dtd.DTD, error)
+
 	// KeepWhitespace preserves whitespace-only text nodes. By default
 	// they are dropped, which matches the paper's element-structure
 	// view of documents and keeps golden outputs stable.
@@ -334,7 +340,7 @@ func (p *parser) document() (*Result, error) {
 		}
 	}
 	if p.dtd != nil && p.opts.ApplyDefaults {
-		applyDefaults(p.dtd, root)
+		p.dtd.ApplyDefaults(root)
 	}
 	doc.Renumber()
 	// Flatten into the struct-of-arrays arena while the tree is hot:
@@ -342,24 +348,6 @@ func (p *parser) document() (*Result, error) {
 	// shared byte buffer, and every later request sweeps the arrays.
 	arena := doc.BuildArena()
 	return &Result{Doc: doc, Arena: arena, DTD: p.dtd}, nil
-}
-
-// applyDefaults adds DTD-defaulted attributes without validating.
-func applyDefaults(d *dtd.DTD, n *dom.Node) {
-	for _, def := range d.Attlists[n.Name] {
-		if def.Default != dtd.ValueDefault && def.Default != dtd.FixedDefault {
-			continue
-		}
-		if _, present := n.Attr(def.Name); !present {
-			a := n.SetAttr(def.Name, def.Value)
-			a.Defaulted = true
-		}
-	}
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode {
-			applyDefaults(d, c)
-		}
-	}
 }
 
 func (p *parser) prolog(doc *dom.Document) error {
@@ -531,6 +519,14 @@ func (p *parser) doctype(doc *dom.Document) error {
 		return err
 	}
 	doc.DocType = dt
+	if p.opts.ResolveDTD != nil {
+		d, err := p.opts.ResolveDTD(dt)
+		if err != nil {
+			return p.errf("DOCTYPE %s: %v", name, err)
+		}
+		p.dtd = d
+		return nil
+	}
 
 	// Parse the subsets: internal first (its declarations are binding),
 	// then the external subset if a loader can fetch it.

@@ -149,10 +149,7 @@ func main() {
 	if *dataDir != "" {
 		site.SetReady(false)
 	}
-	srv := &http.Server{
-		Handler:           site.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newServer(site.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Error("listen failed", "addr", *addr, "error", err.Error())
@@ -207,4 +204,33 @@ func main() {
 		os.Exit(1)
 	}
 	<-idle
+}
+
+// Connection limits. A client must send its headers within
+// readHeaderTimeout and the whole request — a PUT body may be up to the
+// site's body limit, 16 MiB by default — within readTimeout; the handler has until
+// writeTimeout after the headers to read, process and answer; an idle
+// keep-alive connection is closed after idleTimeout; and headers larger
+// than maxHeaderBytes are refused. Slow or stalled clients therefore
+// cannot hold connections, and the goroutines and buffers behind them,
+// without bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	writeTimeout      = 90 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newServer returns the daemon's HTTP server for h, with the limits
+// above.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }

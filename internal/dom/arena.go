@@ -1,6 +1,10 @@
 package dom
 
-import "strings"
+import (
+	"math/bits"
+	"sort"
+	"strings"
+)
 
 // span locates one run of character data inside an Arena's shared byte
 // buffer.
@@ -58,22 +62,31 @@ type Arena struct {
 	docType    *DocType
 }
 
-// explicitMask returns the mask that shows every node except the
-// attributes DTD defaulting supplied, or nil when there are none.
-func (a *Arena) explicitMask() Bitmask {
-	if a.defaulted.Count() == 0 {
-		return nil
+// BuildArena numbers the edited copy in preorder and flattens it into
+// its arena, which it caches on the copy and returns. For a local
+// commit, every clean subtree — an element that is neither in the
+// footprint nor an ancestor of it — is copied from the base as one run
+// of array rows and character data, with its indexes and byte offsets
+// shifted, and its nodes renumbered through the copy's node slab; only
+// the footprint and its ancestors are written row by row. The layout
+// is the one a fresh build of the same tree has, except that a local
+// commit shares the base's symbol table (or extends a copy of it) so
+// symbols may be numbered differently. A whole-document edit (and
+// Document.BuildArena) writes every row.
+func (e *Edit) BuildArena() *Arena {
+	d := e.doc
+	b := &arenaBuilder{e: e}
+	if e.base != nil {
+		b.dirty = NewBitmask(len(e.slab))
+		for _, t := range e.touched {
+			b.markDirty(t)
+		}
+		for _, r := range e.inserted {
+			b.markDirty(r.Parent)
+		}
 	}
-	m := make(Bitmask, len(a.defaulted))
-	for i, w := range a.defaulted {
-		m[i] = ^w
-	}
-	return m
-}
-
-// buildArena flattens a renumbered document into a fresh arena.
-func buildArena(d *Document) *Arena {
-	n := d.NodeCount()
+	b.measure(d.Node)
+	n := b.nodes
 	a := &Arena{
 		kind:        make([]NodeType, n),
 		name:        make([]Sym, n),
@@ -85,81 +98,301 @@ func buildArena(d *Document) *Arena {
 		raw:         make([]span, n),
 		esc:         make([]span, n),
 		defaulted:   NewBitmask(n),
-		bytes:       make([]byte, 0, arenaBytes(d.Node)),
-		syms:        newSymTab(),
+		bytes:       make([]byte, 0, b.bytes),
 		version:     d.Version,
 		encoding:    d.Encoding,
 		standalone:  d.Standalone,
+	}
+	if e.base != nil {
+		a.syms, b.sharedSyms = e.base.syms, true
+	} else {
+		a.syms = newSymTab()
 	}
 	if d.DocType != nil {
 		dt := *d.DocType
 		a.docType = &dt
 	}
-	var walk func(nd *Node, parent int32)
-	walk = func(nd *Node, parent int32) {
-		i := int32(nd.Order)
-		a.kind[i] = nd.Type
-		a.parent[i] = parent
-		a.firstChild[i] = -1
-		a.nextSibling[i] = -1
-		switch nd.Type {
-		case ElementNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.elemAttrs++
-			a.sizeHint += 2*len(nd.Name) + 5
-		case AttributeNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], nd.Data, true)
-			if nd.Defaulted {
-				a.defaulted.Set(int(i))
-			}
-			a.elemAttrs++
-			a.sizeHint += len(nd.Name) + 4 + int(a.esc[i].n)
-		case TextNode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], nd.Data, false)
-			a.sizeHint += int(a.esc[i].n)
-		case CDATANode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendCDATA(nd.Data)
-			a.sizeHint += int(a.esc[i].n)
-		case CommentNode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.raw[i]
-			a.sizeHint += int(a.esc[i].n) + 7
-		case ProcessingInstructionNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.raw[i]
-			a.sizeHint += len(nd.Name) + int(a.esc[i].n) + 5
-		}
-		a.attrStart[i] = i + 1
-		a.attrEnd[i] = i + 1 + int32(len(nd.Attrs))
-		for _, at := range nd.Attrs {
-			walk(at, i)
-		}
-		var prev int32 = -1
-		for _, c := range nd.Children {
-			ci := int32(c.Order)
-			if prev < 0 {
-				a.firstChild[i] = ci
-			} else {
-				a.nextSibling[prev] = ci
-			}
-			prev = ci
-			walk(c, i)
-		}
+	b.a = a
+	b.node(d.Node, -1)
+	if e.base != nil {
+		b.runTotals()
 	}
-	walk(d.Node, -1)
+	e.built = b.built
+	d.nodeCount = int(b.next)
+	d.arena = a
 	return a
 }
 
-// arenaBytes returns the exact size of the shared byte buffer for the
-// subtree rooted at nd, so buildArena allocates it once: every node's
+// arenaBuilder carries one BuildArena: a measuring walk that sizes the
+// arrays and finds the clean runs, then the building walk.
+type arenaBuilder struct {
+	e          *Edit
+	a          *Arena
+	dirty      Bitmask // base indexes of the footprint and its ancestors
+	sharedSyms bool    // a.syms is the base's: copy before interning
+	nodes      int     // measured node count
+	bytes      int     // measured character-data bytes
+	next       int32   // next index to assign
+	cursor     int     // next run to place
+	built      int
+}
+
+// markDirty marks n and its ancestors, stopping at the first one
+// already marked.
+func (b *arenaBuilder) markDirty(n *Node) {
+	for ; n != nil && n.Order >= 0 && !b.dirty.Get(n.Order); n = n.Parent {
+		b.dirty.Set(n.Order)
+	}
+}
+
+// clean reports whether nd is a copied element outside the footprint
+// and its ancestors, whose subtree is therefore the base's.
+func (b *arenaBuilder) clean(nd *Node) bool {
+	return b.dirty != nil && nd.Type == ElementNode && nd.Order >= 0 && !b.dirty.Get(nd.Order)
+}
+
+// measure counts the nodes and character-data bytes of the subtree at
+// nd, recording each clean run it meets.
+func (b *arenaBuilder) measure(nd *Node) {
+	if b.clean(nd) {
+		base := b.e.base
+		o := int32(nd.Order)
+		end := base.SubtreeEnd(o)
+		bs, be := base.byteRange(o, end)
+		b.e.runs = append(b.e.runs, run{old: o, n: end - o, bs: bs, be: be})
+		b.nodes += int(end - o)
+		b.bytes += be - bs
+		return
+	}
+	b.nodes += 1 + len(nd.Attrs)
+	b.bytes += dataBytes(nd)
+	for _, at := range nd.Attrs {
+		b.bytes += dataBytes(at)
+	}
+	for _, c := range nd.Children {
+		b.measure(c)
+	}
+}
+
+// node places the subtree at nd at the next index under parent and
+// returns that index.
+func (b *arenaBuilder) node(nd *Node, parent int32) int32 {
+	i := b.next
+	if b.clean(nd) {
+		b.copyRun(&b.e.runs[b.cursor], i, parent)
+		b.cursor++
+		return i
+	}
+	a := b.a
+	b.next++
+	b.built++
+	nd.Order = int(i)
+	a.kind[i] = nd.Type
+	a.parent[i] = parent
+	a.firstChild[i] = -1
+	a.nextSibling[i] = -1
+	switch nd.Type {
+	case ElementNode:
+		a.name[i] = b.intern(nd.Name)
+		a.elemAttrs++
+		a.sizeHint += 2*len(nd.Name) + 5
+	case AttributeNode:
+		a.name[i] = b.intern(nd.Name)
+		a.raw[i] = a.appendRaw(nd.Data)
+		a.esc[i] = a.appendEsc(a.raw[i], nd.Data, true)
+		if nd.Defaulted {
+			a.defaulted.Set(int(i))
+		}
+		a.elemAttrs++
+		a.sizeHint += len(nd.Name) + 4 + int(a.esc[i].n)
+	case TextNode:
+		a.raw[i] = a.appendRaw(nd.Data)
+		a.esc[i] = a.appendEsc(a.raw[i], nd.Data, false)
+		a.sizeHint += int(a.esc[i].n)
+	case CDATANode:
+		a.raw[i] = a.appendRaw(nd.Data)
+		a.esc[i] = a.appendCDATA(nd.Data)
+		a.sizeHint += int(a.esc[i].n)
+	case CommentNode:
+		a.raw[i] = a.appendRaw(nd.Data)
+		a.esc[i] = a.raw[i]
+		a.sizeHint += int(a.esc[i].n) + 7
+	case ProcessingInstructionNode:
+		a.name[i] = b.intern(nd.Name)
+		a.raw[i] = a.appendRaw(nd.Data)
+		a.esc[i] = a.raw[i]
+		a.sizeHint += len(nd.Name) + int(a.esc[i].n) + 5
+	}
+	a.attrStart[i] = i + 1
+	a.attrEnd[i] = i + 1 + int32(len(nd.Attrs))
+	for _, at := range nd.Attrs {
+		b.node(at, i)
+	}
+	prev := int32(-1)
+	for _, c := range nd.Children {
+		ci := b.node(c, i)
+		if prev < 0 {
+			a.firstChild[i] = ci
+		} else {
+			a.nextSibling[prev] = ci
+		}
+		prev = ci
+	}
+	return i
+}
+
+// intern returns the symbol for name, copying a shared table before
+// the first name it lacks is added: readers of the base hold that
+// table.
+func (b *arenaBuilder) intern(name string) Sym {
+	if s, ok := b.a.syms.index[name]; ok {
+		return s
+	}
+	if b.sharedSyms {
+		b.a.syms = b.a.syms.clone()
+		b.sharedSyms = false
+	}
+	return b.a.syms.intern(name)
+}
+
+// copyRun places run r at index i under parent: the base's rows with
+// indexes shifted by i-r.old and byte offsets by the distance its
+// character data moves, and the run's nodes in the copy renumbered.
+// A run that does not move (every run before the edit, and after an
+// edit that keeps the node count or the byte count) is a plain copy.
+func (b *arenaBuilder) copyRun(r *run, i, parent int32) {
+	base, a := b.e.base, b.a
+	o, n := r.old, r.n
+	r.new = i
+	d := i - o
+	bd := uint32(len(a.bytes) - r.bs) // modular: offsets may move down
+	a.bytes = append(a.bytes, base.bytes[r.bs:r.be]...)
+	copy(a.kind[i:i+n], base.kind[o:o+n])
+	copy(a.name[i:i+n], base.name[o:o+n])
+	shiftIdx(a.parent[i:i+n], base.parent[o:o+n], d)
+	shiftIdx(a.firstChild[i:i+n], base.firstChild[o:o+n], d)
+	shiftIdx(a.nextSibling[i:i+n], base.nextSibling[o:o+n], d)
+	shiftIdx(a.attrStart[i:i+n], base.attrStart[o:o+n], d)
+	shiftIdx(a.attrEnd[i:i+n], base.attrEnd[o:o+n], d)
+	a.parent[i] = parent
+	a.nextSibling[i] = -1
+	raw, esc := base.raw[o:o+n], base.esc[o:o+n]
+	araw, aesc := a.raw[i:i+n], a.esc[i:i+n]
+	if bd == 0 {
+		copy(araw, raw)
+		copy(aesc, esc)
+	} else {
+		for k, kd := range base.kind[o : o+n] {
+			if hasData(kd) {
+				araw[k] = span{off: raw[k].off + bd, n: raw[k].n}
+				aesc[k] = span{off: esc[k].off + bd, n: esc[k].n}
+			}
+		}
+	}
+	if d != 0 {
+		slab := b.e.slab[o : o+n]
+		for k := range slab {
+			slab[k].Order = int(i) + k
+		}
+	}
+	b.next += n
+}
+
+// runTotals adds the runs' share of the element+attribute count and
+// the size hint — the base's totals less those of the base nodes
+// outside every run, which the footprint bounds — and carries the
+// runs' Defaulted marks over.
+func (b *arenaBuilder) runTotals() {
+	base, a := b.e.base, b.a
+	elemAttrs, sizeHint := base.elemAttrs, base.sizeHint
+	gap := func(from, to int32) {
+		for j := from; j < to; j++ {
+			if k := base.kind[j]; k == ElementNode || k == AttributeNode {
+				elemAttrs--
+			}
+			sizeHint -= base.nodeSize(j)
+		}
+	}
+	next := int32(0)
+	for _, r := range b.e.runs {
+		gap(next, r.old)
+		next = r.old + r.n
+	}
+	gap(next, int32(base.Len()))
+	a.elemAttrs += elemAttrs
+	a.sizeHint += sizeHint
+	for w, word := range base.defaulted {
+		for word != 0 {
+			k := int32(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+			runs := b.e.runs
+			j := sort.Search(len(runs), func(x int) bool { return runs[x].old+runs[x].n > k })
+			if j < len(runs) && runs[j].old <= k {
+				a.defaulted.Set(int(k + runs[j].new - runs[j].old))
+			}
+		}
+	}
+}
+
+// nodeSize is node i's share of the size hint: the bytes it adds to a
+// serialization.
+func (a *Arena) nodeSize(i int32) int {
+	switch a.kind[i] {
+	case ElementNode:
+		return 2*len(a.syms.names[a.name[i]]) + 5
+	case AttributeNode:
+		return len(a.syms.names[a.name[i]]) + 4 + int(a.esc[i].n)
+	case CommentNode:
+		return int(a.esc[i].n) + 7
+	case ProcessingInstructionNode:
+		return len(a.syms.names[a.name[i]]) + int(a.esc[i].n) + 5
+	case TextNode, CDATANode:
+		return int(a.esc[i].n)
+	}
+	return 0
+}
+
+// shiftIdx copies src into dst adding d to every index (-1, no node,
+// stays -1).
+func shiftIdx(dst, src []int32, d int32) {
+	if d == 0 {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for k, v := range src {
+		if v >= 0 {
+			v += d
+		}
+		dst[k] = v
+	}
+}
+
+// byteRange returns the bytes [bs, be) that the character data of the
+// nodes [o, end) occupies: the nodes append their data in preorder, so
+// it runs from the first data node's raw span to the last one's end.
+func (a *Arena) byteRange(o, end int32) (bs, be int) {
+	j := o
+	for j < end && !hasData(a.kind[j]) {
+		j++
+	}
+	if j == end {
+		return 0, 0
+	}
+	bs = int(a.raw[j].off)
+	for j = end - 1; !hasData(a.kind[j]); j-- {
+	}
+	return bs, int(max(a.raw[j].off+a.raw[j].n, a.esc[j].off+a.esc[j].n))
+}
+
+// hasData reports whether nodes of kind k carry character data in the
+// arena's byte buffer.
+func hasData(k NodeType) bool { return k != ElementNode && k != DocumentNode }
+
+// dataBytes returns the bytes node nd adds to the arena's buffer: its
 // raw data, plus its escaped form wherever escaping is not the
-// identity, plus each CDATA section's rendered markup.
-func arenaBytes(nd *Node) int {
+// identity, plus a CDATA section's rendered markup.
+func dataBytes(nd *Node) int {
 	n := len(nd.Data)
 	switch nd.Type {
 	case AttributeNode, TextNode:
@@ -168,12 +401,6 @@ func arenaBytes(nd *Node) int {
 		}
 	case CDATANode:
 		n += cdataLen(nd.Data)
-	}
-	for _, at := range nd.Attrs {
-		n += arenaBytes(at)
-	}
-	for _, c := range nd.Children {
-		n += arenaBytes(c)
 	}
 	return n
 }
@@ -261,6 +488,11 @@ func (a *Arena) escData(i int32) []byte {
 	sp := a.esc[i]
 	return a.bytes[sp.off : sp.off+sp.n]
 }
+
+// EscapedData returns the serialization-ready form of the data at index
+// i, escaped once when the arena was built (a CDATA node's is its whole
+// section markup). Like RawData it aliases the arena buffer.
+func (a *Arena) EscapedData(i int32) []byte { return a.escData(i) }
 
 // Defaulted reports whether the attribute at index i was supplied by
 // DTD attribute defaulting rather than the source document.

@@ -313,7 +313,7 @@ func TestArenaQueryHelpers(t *testing.T) {
 	}
 }
 
-// TestArenaBufferSizedOnce: buildArena computes the exact size of the
+// TestArenaBufferSizedOnce: BuildArena computes the exact size of the
 // shared byte buffer before filling it — raw data, escaped forms that
 // differ from it, rendered CDATA sections — so the buffer is allocated
 // once and never regrown, and the serialization stays byte-identical.

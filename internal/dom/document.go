@@ -106,16 +106,13 @@ func (d *Document) Renumber() int {
 	return next
 }
 
-// BuildArena flattens the document into its struct-of-arrays
-// representation, caches it on the document, and returns it. The
-// parser calls this at parse time so serve-path documents always carry
-// an arena; mutating callers must Renumber (which discards the arena)
-// and rebuild before sharing the document again.
-func (d *Document) BuildArena() *Arena {
-	d.NodeCount() // ensure the preorder numbering exists
-	d.arena = buildArena(d)
-	return d.arena
-}
+// BuildArena numbers the document in preorder (as Renumber does) and
+// flattens it into its struct-of-arrays representation, caches it on
+// the document, and returns it. The parser calls this at parse time so
+// serve-path documents always carry an arena; mutating callers must
+// Renumber (which discards the arena) or rebuild before sharing the
+// document again.
+func (d *Document) BuildArena() *Arena { return WholeEdit(d).BuildArena() }
 
 // Arena returns the document's struct-of-arrays representation,
 // building it on first use. Like Renumber, the build is not safe to

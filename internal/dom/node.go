@@ -2,8 +2,9 @@ package dom
 
 import "fmt"
 
-// NodeType discriminates the kinds of nodes a Document may contain.
-type NodeType int
+// NodeType discriminates the kinds of nodes a Document may contain. It
+// is one byte, so an arena's kind array costs one byte per node.
+type NodeType uint8
 
 // Node types, mirroring the DOM Level 1 node taxonomy restricted to the
 // logical structure the paper considers (entities and notations are
@@ -47,6 +48,11 @@ type Node struct {
 	// Type discriminates which of the remaining fields are meaningful.
 	Type NodeType
 
+	// Defaulted marks attribute nodes that were not present in the
+	// source document but were supplied by DTD attribute defaulting.
+	// (It sits next to Type so that the two share one word.)
+	Defaulted bool
+
 	// Name is the element tag name, the attribute name, or the
 	// processing-instruction target. Empty for text, CDATA and comments.
 	Name string
@@ -71,10 +77,6 @@ type Node struct {
 	// The ordering convention is: an element precedes its attributes,
 	// which precede its children.
 	Order int
-
-	// Defaulted marks attribute nodes that were not present in the
-	// source document but were supplied by DTD attribute defaulting.
-	Defaulted bool
 }
 
 // Index returns the node's dense preorder index within its document —

@@ -20,7 +20,9 @@ import (
 // fragments, a PUT body) or are text and attributes an edit created:
 // there are no comments, and CDATA and processing-instruction data are
 // as the parser leaves them. DTD attribute defaulting is the caller's
-// next step, and the document must be renumbered afterwards.
+// next step, and the document must be numbered afterwards (BuildArena
+// numbers it). Edit.Normalize does the same for an edit's footprint
+// alone.
 //
 // Last, the document's strings are copied into storage of its own, as
 // a parse's strings are substrings of its one input. An edited copy's
@@ -28,24 +30,8 @@ import (
 // source, a PUT body, a script — and each of those would otherwise stay
 // alive for as long as one string taken from it does.
 func (d *Document) Normalize() {
-	d.Node.normalizeContent()
-	d.ownStrings()
-}
-
-// ownStrings moves every node name and data string into one buffer,
-// and copies the prolog's strings.
-func (d *Document) ownStrings() {
-	n := 0
-	d.Walk(func(m *Node) bool { n += len(m.Name) + len(m.Data); return true })
-	var b strings.Builder
-	b.Grow(n)
-	d.Walk(func(m *Node) bool { b.WriteString(m.Name); b.WriteString(m.Data); return true })
-	buf := b.String()
-	d.Walk(func(m *Node) bool {
-		m.Name, buf = buf[:len(m.Name)], buf[len(m.Name):]
-		m.Data, buf = buf[:len(m.Data)], buf[len(m.Data):]
-		return true
-	})
+	d.Node.normalizeContent(true)
+	ownStrings(func(f func(*Node)) { walkNodes(d.Node, f) })
 	d.Version, d.Encoding, d.Standalone = strings.Clone(d.Version), strings.Clone(d.Encoding), strings.Clone(d.Standalone)
 	if dt := d.DocType; dt != nil {
 		d.DocType = &DocType{Name: strings.Clone(dt.Name), PublicID: strings.Clone(dt.PublicID),
@@ -53,9 +39,25 @@ func (d *Document) ownStrings() {
 	}
 }
 
-// normalizeContent normalizes n's attributes and children, recursively.
-// Children are compacted in place: the list only shrinks.
-func (n *Node) normalizeContent() {
+// ownStrings moves the name and data strings of the nodes each visits
+// into one buffer.
+func ownStrings(each func(f func(*Node))) {
+	n := 0
+	each(func(m *Node) { n += len(m.Name) + len(m.Data) })
+	var b strings.Builder
+	b.Grow(n)
+	each(func(m *Node) { b.WriteString(m.Name); b.WriteString(m.Data) })
+	buf := b.String()
+	each(func(m *Node) {
+		m.Name, buf = buf[:len(m.Name)], buf[len(m.Name):]
+		m.Data, buf = buf[:len(m.Data)], buf[len(m.Data):]
+	})
+}
+
+// normalizeContent normalizes n's attributes and children, and, when
+// deep, its element children's content recursively. Children are
+// compacted in place: the list only shrinks.
+func (n *Node) normalizeContent(deep bool) {
 	for _, a := range n.Attrs {
 		a.Data = validUTF8(a.Data)
 		a.Defaulted = false
@@ -74,8 +76,8 @@ func (n *Node) normalizeContent() {
 			run = c
 		} else {
 			out, run = endRun(out, run), nil
-			if c.Type == ElementNode {
-				c.normalizeContent()
+			if deep && c.Type == ElementNode {
+				c.normalizeContent(true)
 			}
 		}
 		out = append(out, c)

@@ -125,6 +125,27 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 // Write serializes the document to w using the given options.
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 	ew := &errWriter{w: w}
+	d.writeProlog(ew, opts)
+	// The body: through the arena when one is built or a mask is given
+	// (pre-escaped spans, no per-line allocations), through the pointer
+	// tree otherwise. The two emit byte-identical output;
+	// FuzzArenaParity and the differential tests pin the equivalence.
+	if d.arena != nil || opts.Mask != nil {
+		d.Arena().writeContent(ew, opts)
+		return ew.err
+	}
+	for _, c := range d.Node.Children {
+		writeNode(ew, c, opts.Indent, 0)
+		if opts.Indent != "" {
+			ew.str("\n")
+		}
+	}
+	return ew.err
+}
+
+// writeProlog emits the XML declaration and the DOCTYPE that Write
+// puts before the body.
+func (d *Document) writeProlog(ew *errWriter, opts WriteOptions) {
 	if !opts.OmitDecl {
 		ew.str(`<?xml version="`)
 		if d.Version != "" {
@@ -169,21 +190,6 @@ func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 		}
 		ew.str(">\n")
 	}
-	// The body: through the arena when one is built or a mask is given
-	// (pre-escaped spans, no per-line allocations), through the pointer
-	// tree otherwise. The two emit byte-identical output;
-	// FuzzArenaParity and the differential tests pin the equivalence.
-	if d.arena != nil || opts.Mask != nil {
-		d.Arena().writeContent(ew, opts)
-		return ew.err
-	}
-	for _, c := range d.Node.Children {
-		writeNode(ew, c, opts.Indent, 0)
-		if opts.Indent != "" {
-			ew.str("\n")
-		}
-	}
-	return ew.err
 }
 
 // String serializes the document with default options and returns it.
@@ -193,27 +199,12 @@ func (d *Document) String() string {
 	return b.String()
 }
 
-// SourceString serializes the document as stored source text: through
-// its arena (built first if missing) into a buffer sized once from the
-// arena's size hint, leaving out the attributes marked Defaulted. A
-// defaulting parse of the text supplies them again, so it rebuilds the
-// document exactly; this is the text a committed edit stores.
+// SourceString serializes the document as stored source text (see
+// Edit.Source): the attributes marked Defaulted are left out, so a
+// defaulting parse of the text rebuilds the document exactly.
 func (d *Document) SourceString() string {
-	a := d.Arena()
-	var b strings.Builder
-	b.Grow(d.prologLen() + a.SizeHint())
-	_ = d.Write(&b, WriteOptions{Mask: a.explicitMask()})
-	return b.String()
-}
-
-// prologLen bounds the length of the XML declaration and DOCTYPE that
-// Write emits before the body.
-func (d *Document) prologLen() int {
-	n := 64 + len(d.Version) + len(d.Encoding) + len(d.Standalone)
-	if dt := d.DocType; dt != nil {
-		n += 32 + len(dt.Name) + len(dt.PublicID) + len(dt.SystemID) + len(dt.InternalSubset)
-	}
-	return n
+	text, _ := writeSource(d, nil)
+	return text
 }
 
 // StringIndent serializes the document pretty-printed with the given

@@ -10,7 +10,8 @@ type Sym int32
 
 // symTab interns the distinct names of one arena. It is built once at
 // arena construction and read-only afterwards, so concurrent readers
-// need no lock.
+// need no lock. An arena spliced from another shares its table until
+// it needs a name the table lacks, and then extends a copy.
 type symTab struct {
 	names []string
 	index map[string]Sym
@@ -29,6 +30,17 @@ func (t *symTab) intern(name string) Sym {
 	t.names = append(t.names, name)
 	t.index[name] = s
 	return s
+}
+
+// clone returns a copy of the table that can be extended without
+// changing t.
+func (t *symTab) clone() *symTab {
+	c := &symTab{names: make([]string, len(t.names), len(t.names)+8), index: make(map[string]Sym, len(t.index)+8)}
+	copy(c.names, t.names)
+	for k, v := range t.index {
+		c.index[k] = v
+	}
+	return c
 }
 
 // name returns the string for symbol s.

@@ -70,16 +70,120 @@ func (d *DTD) Validate(doc *dom.Document, opts ValidateOptions) ValidationErrors
 	}
 	v.element(root)
 	if !opts.IgnoreIDs {
-		for _, ref := range v.idrefs {
-			if v.ids[ref.id] == nil {
-				v.errf(ref.node, "IDREF %q matches no ID in the document", ref.id)
-			}
-		}
+		v.resolveIDRefs()
 	}
 	if len(v.errs) == 0 {
 		return nil
 	}
 	return v.errs
+}
+
+// ValidateEdit is Validate (strict, defaults already applied) for a
+// document that was valid before an edit with the given footprint:
+// touched, the elements whose attribute or child list changed, and
+// inserted, the roots of the inserted subtrees (see dom.Edit). Only
+// their content models and attributes can have become invalid, so only
+// those are checked — each touched element alone, every element of each
+// inserted subtree — unless an inserted root is the document node,
+// which validates the whole document. ID uniqueness and IDREF
+// resolution span the document, so when the DTD declares any ID, IDREF
+// or IDREFS attribute that pass still walks every element.
+func (d *DTD) ValidateEdit(doc *dom.Document, touched, inserted []*dom.Node) ValidationErrors {
+	for _, r := range inserted {
+		if r.Type == dom.DocumentNode {
+			return d.Validate(doc, ValidateOptions{})
+		}
+	}
+	v := &validator{dtd: d} // no ids map: the checks below register none
+	root := doc.DocumentElement()
+	if root == nil {
+		v.errf(nil, "document has no root element")
+		return v.errs
+	}
+	if d.Name != "" && root.Name != d.Name {
+		v.errf(root, "root element is %q, DOCTYPE declares %q", root.Name, d.Name)
+	}
+	for _, t := range touched {
+		v.check(t)
+	}
+	for _, r := range inserted {
+		if r.Type == dom.ElementNode {
+			v.element(r)
+		}
+	}
+	if d.declaresIDs() {
+		v.ids = make(map[string]*dom.Node)
+		v.collectIDs(root)
+		v.resolveIDRefs()
+	}
+	if len(v.errs) == 0 {
+		return nil
+	}
+	return v.errs
+}
+
+// declaresIDs reports whether any attribute is declared ID, IDREF or
+// IDREFS.
+func (d *DTD) declaresIDs() bool {
+	for _, defs := range d.Attlists {
+		for _, def := range defs {
+			if def.Type == IDType || def.Type == IDREFType || def.Type == IDREFSType {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// collectIDs registers the ID and IDREF(S) values of the subtree at n,
+// as the attribute checks of a whole-document validation do; values
+// that are not Names were reported by those checks.
+func (v *validator) collectIDs(n *dom.Node) {
+	for _, a := range n.Attrs {
+		def := v.dtd.AttDef(n.Name, a.Name)
+		if def == nil {
+			continue
+		}
+		switch def.Type {
+		case IDType:
+			if val := normalizeTokens(a.Data); IsName(val) {
+				v.registerID(a, val)
+			}
+		case IDREFType:
+			if val := normalizeTokens(a.Data); IsName(val) {
+				v.idrefs = append(v.idrefs, idref{a, val})
+			}
+		case IDREFSType:
+			eachToken(normalizeTokens(a.Data), func(tok string) {
+				if IsName(tok) {
+					v.idrefs = append(v.idrefs, idref{a, tok})
+				}
+			})
+		}
+	}
+	for _, c := range n.Children {
+		if c.Type == dom.ElementNode {
+			v.collectIDs(c)
+		}
+	}
+}
+
+// registerID records an ID value, reporting a second use.
+func (v *validator) registerID(a *dom.Node, val string) {
+	if prev := v.ids[val]; prev != nil {
+		v.errf(a, "ID %q already used at %s", val, prev.Path())
+	} else {
+		v.ids[val] = a
+	}
+}
+
+// resolveIDRefs reports every IDREF that matches no registered ID.
+func (v *validator) resolveIDRefs() {
+	for _, ref := range v.idrefs {
+		if v.ids[ref.id] == nil {
+			v.errf(ref.node, "IDREF %q matches no ID in the document", ref.id)
+		}
+	}
 }
 
 type idref struct {
@@ -105,6 +209,16 @@ func (v *validator) errf(n *dom.Node, format string, args ...any) {
 }
 
 func (v *validator) element(n *dom.Node) {
+	v.check(n)
+	for _, c := range n.Children {
+		if c.Type == dom.ElementNode {
+			v.element(c)
+		}
+	}
+}
+
+// check validates element n's content model and attributes.
+func (v *validator) check(n *dom.Node) {
 	decl := v.dtd.Element(n.Name)
 	if decl == nil {
 		v.errf(n, "element %q is not declared", n.Name)
@@ -112,11 +226,6 @@ func (v *validator) element(n *dom.Node) {
 		v.content(n, decl)
 	}
 	v.attributes(n)
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode {
-			v.element(c)
-		}
-	}
 }
 
 func (v *validator) content(n *dom.Node, decl *ElementDecl) {
@@ -211,6 +320,22 @@ func (d *DTD) ApplyDefaults(n *dom.Node) {
 	}
 }
 
+// ApplyDefaultsEdit applies attribute defaults after an edit with the
+// given footprint (see ValidateEdit): to each touched element alone —
+// one that lost an attribute gets its default back — and to every
+// element of each inserted subtree (all of them when a root is the
+// document node).
+func (d *DTD) ApplyDefaultsEdit(touched, inserted []*dom.Node) {
+	for _, t := range touched {
+		d.defaultAttrs(t)
+	}
+	for _, r := range inserted {
+		if r.Type == dom.ElementNode || r.Type == dom.DocumentNode {
+			d.ApplyDefaults(r)
+		}
+	}
+}
+
 // defaultAttrs is ApplyDefaults for element n alone.
 func (d *DTD) defaultAttrs(n *dom.Node) {
 	for _, def := range d.Attlists[n.Name] {
@@ -236,22 +361,20 @@ func (v *validator) attrValue(a *dom.Node, def *AttDef) {
 	case IDType:
 		if !IsName(val) {
 			v.errf(a, "ID value %q is not a Name", val)
-		} else if prev := v.ids[val]; prev != nil {
-			v.errf(a, "ID %q already used at %s", val, prev.Path())
-		} else {
-			v.ids[val] = a
+		} else if v.ids != nil {
+			v.registerID(a, val)
 		}
 	case IDREFType:
 		if !IsName(val) {
 			v.errf(a, "IDREF value %q is not a Name", val)
-		} else {
+		} else if v.ids != nil {
 			v.idrefs = append(v.idrefs, idref{a, val})
 		}
 	case IDREFSType:
 		eachToken(val, func(tok string) {
 			if !IsName(tok) {
 				v.errf(a, "IDREFS token %q is not a Name", tok)
-			} else {
+			} else if v.ids != nil {
 				v.idrefs = append(v.idrefs, idref{a, tok})
 			}
 		})

@@ -85,6 +85,12 @@ type CostCard struct {
 	OpsApplied     int64 `json:"update_ops,omitempty"`
 	TargetsChecked int64 `json:"update_targets_checked,omitempty"`
 	NodesCopied    int64 `json:"update_nodes_copied,omitempty"`
+	// NodesBuilt counts the nodes a commit of an edit (a script update
+	// or a merged PUT) wrote into the new generation's arena one by
+	// one; the rest it copied from the previous generation as runs. A
+	// local commit builds the edit's footprint and its ancestors, a
+	// whole-document commit every node.
+	NodesBuilt int64 `json:"commit_nodes_built,omitempty"`
 
 	// Stages is where this request's time went, stage by stage.
 	Stages StageTimes `json:"stages_ns,omitzero"`

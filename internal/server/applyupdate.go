@@ -77,8 +77,10 @@ func (e *ScriptError) Is(target error) bool {
 // under a new store generation while concurrent readers keep the old
 // one (and any views cached from it; the generation key retires them).
 // The edited copy is committed directly through DocStore.prepareEdited,
-// with no serialize→reparse round trip; that the result equals
-// parse(serialize(apply)) is the tested invariant. Durability is a delta: the WAL journals the canonical script plus the
+// with no serialize→reparse round trip, and with per-node work only
+// inside the edit's footprint when the current generation was itself
+// built by an edit; that the result equals parse(serialize(apply)) is
+// the tested invariant. Durability is a delta: the WAL journals the canonical script plus the
 // resolved target indexes and pre/post content hashes — not the
 // document — and replay re-applies it deterministically.
 func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scriptSrc string) (err error) {
@@ -123,7 +125,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		return &ScriptError{Report: report}
 	}
 	st = stages.Begin(ctx, obs.StageUpdateApply)
-	out, copied, err := update.Apply(sd.Doc, script, res.Targets)
+	ed, copied, err := update.ApplyEdit(sd.Doc, script, res.Targets)
 	st.End()
 	if err != nil {
 		var ce *update.ConflictError
@@ -135,7 +137,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 	// An update that breaks DTD validity fails here with nothing
 	// committed; replay rebuilds the same generation through the same
 	// routine.
-	nd, err := s.Docs.prepareEdited(ctx, stages, sd, out)
+	nd, err := s.Docs.prepareEdited(ctx, stages, sd, ed)
 	if err != nil {
 		return err
 	}

@@ -19,8 +19,8 @@ type StoredDoc struct {
 	// URI is the document's identifier (the authorization object key).
 	URI string
 	// Source is the XML text: the text registered or PUT, or, for a
-	// committed edit, the edited document serialized (see
-	// DocStore.prepareEdited). Parsing it rebuilds Doc.
+	// committed edit, the edited document's canonical serialization
+	// (see DocStore.prepareEdited). Parsing it rebuilds Doc.
 	Source string
 	// Hash is contentHash(Source), computed once when the generation
 	// is prepared; WAL records fingerprint generations with it.
@@ -38,6 +38,18 @@ type StoredDoc struct {
 	Arena *dom.Arena
 	// DTD is the parsed document type definition, or nil.
 	DTD *dtd.DTD
+
+	// canon records where each element lies in Source. Only a
+	// generation prepareEdited built has it: there Source is the tree's
+	// canonical serialization and the tree is in normal form, so the
+	// next edit can commit locally. A text-prepared generation's Source
+	// is whatever text was registered.
+	canon *dom.SourceMap
+	// dtdEntry is the registered DTD (the store's entry itself, not
+	// resolveDTD's per-call copy) the document was validated against,
+	// or nil; a PutDTD that replaces the entry makes the next edit
+	// commit whole.
+	dtdEntry *dtd.DTD
 }
 
 // DocStore is the site's registry of protected resources: XML documents
@@ -133,51 +145,88 @@ func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
 	return sd, nil
 }
 
-// prepareEdited builds the next generation of prev from out, an edited
-// private copy of prev's tree (update.Apply's result, or MergeView's),
-// without a serialize→reparse round trip: out is normalized to the tree
-// a parse of its text would rebuild, given the DTD's attribute
-// defaults, strictly validated against the DTD its DOCTYPE resolves to
-// now, renumbered, flattened into its arena, and serialized once. The
-// result equals prepareDocument(prev.URI, result.Source) node for node
-// (TestEditedCommitParity, FuzzEditedCommitParity). out is consumed.
-// The work runs as the doc.prepare stage, the serialization as
-// doc.serialize.
-func (s *DocStore) prepareEdited(ctx context.Context, stages *trace.Stages, prev *StoredDoc, out *dom.Document) (*StoredDoc, error) {
+// prepareEdited builds the next generation of prev from an edited
+// private copy of prev's tree (update.ApplyEdit's result, or a
+// dom.WholeEdit of MergeView's) without a serialize→reparse round
+// trip: the copy is normalized to the tree a parse of its text would
+// rebuild, given the DTD's attribute defaults, strictly validated
+// against the DTD its DOCTYPE resolves to now, numbered, flattened
+// into its arena, and serialized once. The result equals
+// prepareDocument(prev.URI, result.Source) node for node
+// (TestEditedCommitParity, TestEditedCommitParityChained,
+// FuzzEditedCommitParity). The copy is consumed.
+//
+// The commit is local to the edit's footprint when prev is itself an
+// edited generation (its tree is in normal form and its Source is the
+// tree's canonical text, with element ranges) whose registered DTD
+// entry is still the one in the store: then only the footprint is
+// normalized, defaulted and validated (plus the document-wide ID pass
+// if the DTD declares IDs), only the footprint and its ancestors are
+// written into the arena and the text, and everything else is copied
+// from prev as runs. Otherwise — a text-prepared prev, a merged PUT, a
+// replaced DTD — the footprint is the whole document. The card's
+// commit_nodes_built counts the nodes written individually. The work
+// runs as the doc.prepare stage, the serialization as doc.serialize.
+func (s *DocStore) prepareEdited(ctx context.Context, stages *trace.Stages, prev *StoredDoc, ed *dom.Edit) (*StoredDoc, error) {
 	st := stages.Begin(ctx, obs.StageDocPrepare)
-	sd, err := s.normalizeEdited(prev.URI, out)
+	sd, err := s.normalizeEdited(prev, ed)
 	st.End()
 	if err != nil {
 		return nil, err
 	}
 	st = stages.Begin(ctx, obs.StageDocSerialize)
-	sd.Source = out.SourceString()
+	sd.Source, sd.canon = ed.Source()
 	sd.Hash = contentHash(sd.Source)
 	st.End()
+	if card := trace.CostFromContext(ctx); card != nil {
+		card.NodesBuilt += int64(ed.Built())
+	}
 	return sd, nil
 }
 
 // normalizeEdited is prepareEdited up to the serialization.
-func (s *DocStore) normalizeEdited(uri string, out *dom.Document) (*StoredDoc, error) {
-	out.Normalize()
+func (s *DocStore) normalizeEdited(prev *StoredDoc, ed *dom.Edit) (*StoredDoc, error) {
+	out := ed.Doc()
+	sd := &StoredDoc{URI: prev.URI, Doc: out}
+	if s.sameDTD(prev) && ed.Against(prev.Source, prev.canon) {
+		// An edit cannot change the DOCTYPE, so the DTD prev was
+		// validated against is the one to validate against now.
+		sd.DTD, sd.dtdEntry = prev.DTD, prev.dtdEntry
+	}
+	ed.Normalize()
 	if out.DocumentElement() == nil {
-		return nil, fmt.Errorf("server: document %q has no document element", uri)
+		return nil, fmt.Errorf("server: document %q has no document element", prev.URI)
 	}
-	sd := &StoredDoc{URI: uri, Doc: out}
-	if out.DocType != nil {
-		d, err := s.resolveDTD(out.DocType)
-		if err != nil {
-			return nil, fmt.Errorf("server: document %q: %w", uri, err)
+	if dt := out.DocType; dt != nil {
+		sd.DTDURI = dt.SystemID
+		if !ed.Local() {
+			d, entry, err := s.resolve(dt)
+			if err != nil {
+				return nil, fmt.Errorf("server: document %q: %w", prev.URI, err)
+			}
+			sd.DTD, sd.dtdEntry = d, entry
 		}
-		d.ApplyDefaults(out.DocumentElement())
-		sd.DTD = d
 	}
-	if err := sd.bindDTD(); err != nil {
-		return nil, err
+	if sd.DTD != nil {
+		sd.DTD.ApplyDefaultsEdit(ed.Touched(), ed.Inserted())
+		if errs := sd.DTD.ValidateEdit(out, ed.Touched(), ed.Inserted()); errs != nil {
+			return nil, fmt.Errorf("server: document %q is not valid: %w", prev.URI, errs)
+		}
 	}
-	out.Renumber()
-	sd.Arena = out.BuildArena()
+	sd.Arena = ed.BuildArena()
 	return sd, nil
+}
+
+// sameDTD reports whether prev's DOCTYPE still resolves to the DTD
+// entry prev was validated against.
+func (s *DocStore) sameDTD(prev *StoredDoc) bool {
+	dt := prev.Doc.DocType
+	if dt == nil || dt.SystemID == "" {
+		return true
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dtds[dt.SystemID] == prev.dtdEntry
 }
 
 // bindDTD records the document's DTD URI and validates the document
@@ -201,6 +250,13 @@ func (sd *StoredDoc) bindDTD() error {
 // declared document element name; with one, the two subsets are
 // parsed afresh, the internal one first, as XML precedence requires.
 func (s *DocStore) resolveDTD(dt *dom.DocType) (*dtd.DTD, error) {
+	d, _, err := s.resolve(dt)
+	return d, err
+}
+
+// resolve is resolveDTD that also returns the registered entry the
+// system identifier named, or nil.
+func (s *DocStore) resolve(dt *dom.DocType) (d, entry *dtd.DTD, err error) {
 	var src string
 	if dt.SystemID != "" {
 		s.mu.RLock()
@@ -208,25 +264,26 @@ func (s *DocStore) resolveDTD(dt *dom.DocType) (*dtd.DTD, error) {
 		src = s.srcs[dt.SystemID]
 		s.mu.RUnlock()
 		if !ok {
-			return nil, fmt.Errorf("server: DTD %q not registered", dt.SystemID)
+			return nil, nil, fmt.Errorf("server: DTD %q not registered", dt.SystemID)
 		}
+		entry = shared
 		if dt.InternalSubset == "" {
 			named := *shared
 			named.Name = dt.Name
-			return &named, nil
+			return &named, entry, nil
 		}
 	}
-	d := dtd.NewDTD()
+	d = dtd.NewDTD()
 	d.Name = dt.Name
 	if err := d.ParseSubset(dt.InternalSubset); err != nil {
-		return nil, fmt.Errorf("internal subset: %w", err)
+		return nil, nil, fmt.Errorf("internal subset: %w", err)
 	}
 	if src != "" {
 		if err := d.ParseSubset(src); err != nil {
-			return nil, fmt.Errorf("external subset %q: %w", dt.SystemID, err)
+			return nil, nil, fmt.Errorf("external subset %q: %w", dt.SystemID, err)
 		}
 	}
-	return d, nil
+	return d, entry, nil
 }
 
 // commitDocument installs a prepared document.

@@ -80,11 +80,58 @@ var paritySeeds = []string{
 	"insert-into /doc/item[3] <?pi   data?>text",
 }
 
-// newParityStore registers the parity DTD and one base document.
+// The second fixture: a DTD with ID and IDREF attributes, so a commit
+// must still check ID uniqueness and IDREF resolution across the whole
+// document however small the edit.
+const (
+	idrefDTDURI = "idref.dtd"
+	idrefDTD    = `<!ELEMENT r (p*, ref*)>
+<!ELEMENT p (#PCDATA)>
+<!ATTLIST p id ID #REQUIRED>
+<!ELEMENT ref EMPTY>
+<!ATTLIST ref to IDREF #REQUIRED tos IDREFS #IMPLIED>
+`
+	idrefBase = `<!DOCTYPE r SYSTEM "idref.dtd"><r><p id="p1">one</p><p id="p2">two</p><ref to="p1"/><ref to="p2" tos="p1 p2"/></r>`
+)
+
+// putDTDStep, as one script of a chain, re-registers the parity DTD
+// with a new default for b, so the next commit must judge and default
+// against the replacement.
+const putDTDStep = "putdtd"
+
+// chainSep separates the scripts of a chain in the fuzz input.
+const chainSep = "\n;;\n"
+
+// parityChains are sequences of commits, each on the generation the
+// previous one left: after the first, a commit builds on an edited
+// generation and is local. They cover inserting before the first child
+// and after the last, deletions leaving text neighbours in a touched
+// parent, two operations on one parent and on nested parents,
+// replace-node, names new to the symbol table, and an edit right after
+// the DTD was replaced.
+var parityChains = [][]string{
+	{"set-attr /doc/item[2] label=a", "insert-before /doc/item[1] <item>first</item>", "delete /doc/note", "insert-after /doc/item[4] <item>last<b>x</b></item>"},
+	{"insert-into /doc/item[2] tail", "delete /doc/item[2]/i", "insert-into /doc/item[2] <i/>", "delete /doc/item[2]/i"},
+	{"delete /doc/item[1]/b", "set-attr /doc/item[1] label=z\ninsert-into /doc/item[1] <i/>", "replace-text /doc/item[1] again"},
+	{"replace-text /doc/note n2", "insert-before /doc/note <item>n</item>\ndelete /doc/item[1]/b", "replace-node /doc/item[4] <item kind=\"y\"><i/></item>"},
+	{"replace-node /doc/item[2] <item>r</item>", "replace-node /doc/item[2] <item>s<b>t</b></item>", "set-attr /doc/item[2]/b label=nope"},
+	{"insert-into /doc/item[3] <fresh a=\"1\">new</fresh>", "set-attr /doc/item[3] newattr=v", "delete /doc/item[3]/@newattr"},
+	{"delete /doc/item[1]/b", putDTDStep, "insert-into /doc/item[2] <b>bold</b>", "set-attr /doc/item[3] label=after"},
+	{putDTDStep, "set-attr /doc/item[1] label=1", "delete /doc/item[1]", "insert-into /doc/item[1] <b>c</b>"},
+	{"set-attr /doc/item[3] label=x\nset-attr /doc/item[3] kind=y\ndelete /doc/item[3]/@kind", "insert-after /doc/item[1]/b <i/>", "delete /doc/item[1]/i\ndelete /doc/item[1]/b"},
+	{"delete /r/ref[1]", "delete /r/p[1]", "insert-before /r/ref[1] <p id=\"p9\">nine</p>", "set-attr /r/ref[1] to=p9"},
+	{"set-attr /r/p[2] id=p3", "set-attr /r/ref[2] tos=p1", "set-attr /r/ref[2] to=p1", "delete /r/p[2]"},
+}
+
+// newParityStore registers both fixture DTDs and prepares one base
+// document from its text.
 func newParityStore(t testing.TB, base string) (*DocStore, *StoredDoc) {
 	t.Helper()
 	s := NewDocStore()
 	if err := s.AddDTD(parityDTDURI, parityDTD); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDTD(idrefDTDURI, idrefDTD); err != nil {
 		t.Fatal(err)
 	}
 	prev, err := s.prepareDocument("doc.xml", base)
@@ -94,35 +141,67 @@ func newParityStore(t testing.TB, base string) (*DocStore, *StoredDoc) {
 	return s, prev
 }
 
+// replaceParityDTD re-registers the parity DTD with a default for b, as
+// PutDTD does.
+func replaceParityDTD(t testing.TB, s *DocStore) {
+	t.Helper()
+	if err := s.AddDTD(parityDTDURI, parityDTD+`<!ATTLIST b style CDATA "plain">`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editFor resolves script against prev with everything visible and
+// writable and applies it, or returns nil when it does not apply.
+func editFor(prev *StoredDoc, script *update.Script) *dom.Edit {
+	all := func(int32) bool { return true }
+	res, report := update.Resolve(context.Background(), prev.Doc, script, all, all)
+	if report != nil {
+		return nil
+	}
+	ed, _, err := update.ApplyEdit(prev.Doc, script, res.Targets)
+	if err != nil {
+		return nil
+	}
+	return ed
+}
+
 // checkEditedParity applies script to prev with everything visible and
 // writable and commits the result directly. The oracle is the text
 // path: prepareDocument on the committed Source must rebuild the same
 // nodes, arena and text, and prepareDocument on the edit serialized
 // without normalization — the pipeline the direct commit replaced —
-// must reach the same validity verdict and the same tree. It reports
-// whether the edit committed.
-func checkEditedParity(t testing.TB, s *DocStore, prev *StoredDoc, src string) bool {
+// must reach the same validity verdict and the same tree. The same
+// edit committed with the whole document as its footprint must reach
+// the same verdict and produce the same generation byte for byte, so a
+// local commit of an edited prev is checked against the whole-document
+// one. It returns the committed generation, or nil.
+func checkEditedParity(t testing.TB, s *DocStore, prev *StoredDoc, src string) *StoredDoc {
 	t.Helper()
 	script, err := update.ParseScript(src)
 	if err != nil {
-		return false
+		return nil
 	}
-	all := func(int32) bool { return true }
-	res, report := update.Resolve(context.Background(), prev.Doc, script, all, all)
-	if report != nil {
-		return false
+	ed, whole := editFor(prev, script), editFor(prev, script)
+	if ed == nil {
+		return nil
 	}
-	out, _, err := update.Apply(prev.Doc, script, res.Targets)
-	if err != nil {
-		return false
-	}
-	replaced, replacedErr := s.prepareDocument(prev.URI, out.String())
-	nd, err := s.prepareEdited(context.Background(), nil, prev, out)
-	if (err == nil) != (replacedErr == nil) {
-		t.Fatalf("%q: verdicts differ: direct commit %v, reparse %v", src, err, replacedErr)
+	replaced, replacedErr := s.prepareDocument(prev.URI, ed.Doc().String())
+	nd, err := s.prepareEdited(context.Background(), nil, prev, ed)
+	wd, wholeErr := s.prepareEdited(context.Background(), nil, prev, dom.WholeEdit(whole.Doc()))
+	if (err == nil) != (replacedErr == nil) || (err == nil) != (wholeErr == nil) {
+		t.Fatalf("%q: verdicts differ: direct commit %v, whole-document commit %v, reparse %v", src, err, wholeErr, replacedErr)
 	}
 	if err != nil {
-		return false
+		return nil
+	}
+	if nd.Source != wd.Source {
+		t.Fatalf("%q: local and whole-document commits differ:\nlocal %q\nwhole %q", src, nd.Source, wd.Source)
+	}
+	if diff := treeDiff(nd.Doc, wd.Doc); diff != "" {
+		t.Fatalf("%q: local tree differs from the whole-document commit's: %s", src, diff)
+	}
+	if diff := arenaDiff(nd.Arena, wd.Arena); diff != "" {
+		t.Fatalf("%q: local arena differs from the whole-document commit's: %s", src, diff)
 	}
 	oracle, err := s.prepareDocument(prev.URI, nd.Source)
 	if err != nil {
@@ -143,7 +222,26 @@ func checkEditedParity(t testing.TB, s *DocStore, prev *StoredDoc, src string) b
 	if nd.Hash != contentHash(nd.Source) || nd.DTDURI != oracle.DTDURI || (nd.DTD == nil) != (oracle.DTD == nil) {
 		t.Fatalf("%q: hash or DTD binding differs from the oracle's", src)
 	}
-	return true
+	return nd
+}
+
+// checkParityChain commits steps in order, each on the last generation
+// that committed, checking parity after every commit; putDTDStep
+// replaces the parity DTD instead. It returns how many steps committed.
+func checkParityChain(t testing.TB, s *DocStore, prev *StoredDoc, steps []string) int {
+	t.Helper()
+	committed := 0
+	for _, src := range steps {
+		if src == putDTDStep {
+			replaceParityDTD(t, s)
+			continue
+		}
+		if nd := checkEditedParity(t, s, prev, src); nd != nil {
+			prev = nd
+			committed++
+		}
+	}
+	return committed
 }
 
 func TestEditedCommitParity(t *testing.T) {
@@ -151,7 +249,7 @@ func TestEditedCommitParity(t *testing.T) {
 		s, prev := newParityStore(t, base)
 		committed := 0
 		for _, src := range paritySeeds {
-			if checkEditedParity(t, s, prev, src) {
+			if checkEditedParity(t, s, prev, src) != nil {
 				committed++
 			}
 		}
@@ -166,9 +264,73 @@ func TestEditedCommitParity(t *testing.T) {
 		if _, err := s.prepareDocument(prev.URI, out.String()); err == nil {
 			t.Fatal("reparse accepted a document without a document element")
 		}
-		if _, err := s.prepareEdited(context.Background(), nil, prev, out); err == nil {
+		if _, err := s.prepareEdited(context.Background(), nil, prev, dom.WholeEdit(out)); err == nil {
 			t.Fatal("direct commit accepted a document without a document element")
 		}
+	}
+}
+
+// TestEditedCommitParityChained commits chains of scripts, so that
+// local commits build on generations that were themselves spliced,
+// and checks every commit against the oracles; and it checks that
+// every seed also holds as the second commit of a chain, on an edited
+// generation.
+func TestEditedCommitParityChained(t *testing.T) {
+	for b, base := range append(parityBases, idrefBase) {
+		for c, chain := range parityChains {
+			s, prev := newParityStore(t, base)
+			n := checkParityChain(t, s, prev, chain)
+			if strings.HasPrefix(chain[0], "delete /r/") || strings.HasPrefix(chain[0], "set-attr /r/") {
+				if (b == len(parityBases)) != (n > 0) {
+					t.Errorf("base %d, chain %d: %d commits", b, c, n)
+				}
+			}
+		}
+		if b == len(parityBases) {
+			continue
+		}
+		s, prev := newParityStore(t, base)
+		first := checkEditedParity(t, s, prev, "set-attr /doc/item[1] label=chained")
+		if first == nil {
+			t.Fatalf("base %d: the first commit failed", b)
+		}
+		committed := 0
+		for _, src := range paritySeeds {
+			if checkEditedParity(t, s, first, src) != nil {
+				committed++
+			}
+		}
+		if committed < len(paritySeeds)/2 {
+			t.Errorf("base %d: only %d of %d seeds committed on an edited generation", b, committed, len(paritySeeds))
+		}
+	}
+}
+
+// TestEditedCommitIDRefs pins that a local commit still checks IDs and
+// IDREFs across the whole document: deleting the element an untouched
+// IDREF names, or reusing an ID, must fail on an edited generation.
+func TestEditedCommitIDRefs(t *testing.T) {
+	s, prev := newParityStore(t, idrefBase)
+	prev = checkEditedParity(t, s, prev, "insert-before /r/ref[1] <p id=\"p3\">three</p>")
+	if prev == nil || prev.canon == nil {
+		t.Fatal("the first edit did not commit an edited generation")
+	}
+	for _, src := range []string{"delete /r/p[1]", "delete /r/p[2]", "set-attr /r/p[3] id=p1", "set-attr /r/ref[1] to=p4", "set-attr /r/ref[2] tos=p1 p5"} {
+		script, err := update.ParseScript(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ed := editFor(prev, script)
+		if ed == nil {
+			t.Fatalf("%q does not apply", src)
+		}
+		if _, err := s.prepareEdited(context.Background(), nil, prev, ed); err == nil || !ed.Local() {
+			t.Errorf("%q: local %v, err %v; want a local commit that fails validation", src, ed.Local(), err)
+		}
+		checkEditedParity(t, s, prev, src)
+	}
+	if checkEditedParity(t, s, prev, "delete /r/p[3]") == nil {
+		t.Error("deleting an unreferenced element failed")
 	}
 }
 
@@ -218,20 +380,28 @@ func TestEditedCommitParityOnSite(t *testing.T) {
 	check("PutDocument")
 }
 
+// FuzzEditedCommitParity commits a chain of up to four scripts,
+// separated by chainSep, on one of the parity bases, checking parity
+// after every commit.
 func FuzzEditedCommitParity(f *testing.F) {
+	bases := append(parityBases, idrefBase)
 	for _, src := range paritySeeds {
 		for b := range parityBases {
 			f.Add(src, uint8(b))
 		}
 	}
-	stores := make([]*DocStore, len(parityBases))
-	prevs := make([]*StoredDoc, len(parityBases))
-	for b, base := range parityBases {
-		stores[b], prevs[b] = newParityStore(f, base)
+	for _, chain := range parityChains {
+		for b := range bases {
+			f.Add(strings.Join(chain, chainSep), uint8(b))
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string, base uint8) {
-		b := int(base) % len(parityBases)
-		checkEditedParity(t, stores[b], prevs[b], src)
+		steps := strings.SplitN(src, chainSep, 5)
+		if len(steps) > 4 {
+			return
+		}
+		s, prev := newParityStore(t, bases[int(base)%len(bases)])
+		checkParityChain(t, s, prev, steps)
 	})
 }
 
@@ -279,7 +449,8 @@ func treeDiff(a, b *dom.Document) string {
 }
 
 // arenaDiff describes the first difference between two arenas, or
-// returns "" when every array agrees.
+// returns "" when every array agrees: structure, names, raw and
+// escaped (serialization-ready) data, and Defaulted marks.
 func arenaDiff(a, b *dom.Arena) string {
 	if a.Len() != b.Len() || a.SizeHint() != b.SizeHint() || a.CountElemAttrs() != b.CountElemAttrs() {
 		return fmt.Sprintf("shape: len %d/%d, size hint %d/%d, elem+attrs %d/%d",
@@ -291,7 +462,7 @@ func arenaDiff(a, b *dom.Arena) string {
 		if a.Kind(i) != b.Kind(i) || a.Name(i) != b.Name(i) || a.Parent(i) != b.Parent(i) ||
 			a.FirstChild(i) != b.FirstChild(i) || a.NextSibling(i) != b.NextSibling(i) ||
 			as != bs || ae != be || string(a.RawData(i)) != string(b.RawData(i)) ||
-			a.Defaulted(i) != b.Defaulted(i) {
+			string(a.EscapedData(i)) != string(b.EscapedData(i)) || a.Defaulted(i) != b.Defaulted(i) {
 			return fmt.Sprintf("index %d", i)
 		}
 	}

@@ -318,11 +318,11 @@ func (s *Site) replayUpdate(m mutation) error {
 	if err != nil {
 		return fmt.Errorf("server: update record for %q: %w", m.URI, err)
 	}
-	out, _, err := update.Apply(sd.Doc, script, m.Targets)
+	ed, _, err := update.ApplyEdit(sd.Doc, script, m.Targets)
 	if err != nil {
 		return fmt.Errorf("server: replaying update of %q: %w", m.URI, err)
 	}
-	nd, err := s.Docs.prepareEdited(context.Background(), nil, sd, out)
+	nd, err := s.Docs.prepareEdited(context.Background(), nil, sd, ed)
 	if err != nil {
 		return err
 	}

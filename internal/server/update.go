@@ -120,7 +120,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	// strictly before anything is journaled; the replacement is durable
 	// before it is visible (commitDocLocked appends the WAL record, and
 	// under -fsync always flushes it, before the swap).
-	nd, err := s.Docs.prepareEdited(ctx, stages, sd, merged)
+	nd, err := s.Docs.prepareEdited(ctx, stages, sd, dom.WholeEdit(merged))
 	if err != nil {
 		return err
 	}

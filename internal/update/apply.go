@@ -23,12 +23,29 @@ func (e *ConflictError) Error() string {
 
 // Apply executes a script whose targets were already resolved (by
 // Resolve, or recorded in a write-ahead-log delta record) against a
-// fresh copy of doc, and returns the updated document together with
-// the number of nodes copied for it (the copy-on-write cost: the
-// cloned document plus every inserted fragment node).
+// fresh copy of doc, and returns the updated document, renumbered,
+// together with the number of nodes copied for it (the copy-on-write
+// cost: the cloned document plus every inserted fragment node). It is
+// ApplyEdit for callers that want the tree alone.
+func Apply(doc *dom.Document, s *Script, targets [][]int32) (*dom.Document, int, error) {
+	ed, copied, err := ApplyEdit(doc, s, targets)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := ed.Doc()
+	out.Renumber()
+	return out, copied, nil
+}
+
+// ApplyEdit is Apply returning the edited copy as a *dom.Edit that
+// records the edit's footprint — every element whose attribute or
+// child list an operation changed, and the root of every subtree it
+// inserted — and leaving the copy unnumbered: the commit (the server's
+// DocStore.prepareEdited) numbers it once as it builds the arena, and
+// does per-node work only inside the footprint.
 //
-// Apply is purely structural — it consults no authorization state and
-// no clock, so the same (document, script, targets) triple always
+// Applying is purely structural — it consults no authorization state
+// and no clock, so the same (document, script, targets) triple always
 // produces byte-identical output. That determinism is the delta
 // record's replay contract. doc itself is never modified; old readers
 // keep the old generation.
@@ -38,33 +55,31 @@ func (e *ConflictError) Error() string {
 // target an earlier operation detached fails with a *ConflictError and
 // nothing is returned — atomicity is the caller's commit discipline
 // (nothing observed the clone).
-func Apply(doc *dom.Document, s *Script, targets [][]int32) (*dom.Document, int, error) {
+func ApplyEdit(doc *dom.Document, s *Script, targets [][]int32) (*dom.Edit, int, error) {
 	if len(targets) != len(s.Ops) {
 		return nil, 0, fmt.Errorf("update: %d target sets for %d operations", len(targets), len(s.Ops))
 	}
-	// The copy's node slab is in preorder, so it is also the table
-	// from target index to copied node.
-	out, nodes := doc.CloneIndexed()
-	copied := out.NodeCount()
+	ed := doc.EditCopy()
+	out := ed.Doc()
+	copied := ed.Len()
 	for i := range s.Ops {
 		op := &s.Ops[i]
 		for _, t := range targets[i] {
-			if int(t) < 0 || int(t) >= len(nodes) {
+			if int(t) < 0 || int(t) >= ed.Len() {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target index %d out of range", t)}
 			}
-			n := &nodes[t]
+			n := ed.Node(int(t))
 			if !attached(out, n) {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target %s was removed by an earlier operation", op.Target)}
 			}
-			c, err := applyOne(i, op, n)
+			c, err := applyOne(ed, i, op, n)
 			if err != nil {
 				return nil, 0, err
 			}
 			copied += c
 		}
 	}
-	out.Renumber()
-	return out, copied, nil
+	return ed, copied, nil
 }
 
 // attached reports whether n is still reachable from the document
@@ -79,9 +94,9 @@ func attached(doc *dom.Document, n *dom.Node) bool {
 	return false
 }
 
-// applyOne executes op against one target node of the clone, returning
-// how many nodes it inserted.
-func applyOne(i int, op *Op, n *dom.Node) (int, error) {
+// applyOne executes op against one target node of the clone, recording
+// its footprint in ed, and returns how many nodes it inserted.
+func applyOne(ed *dom.Edit, i int, op *Op, n *dom.Node) (int, error) {
 	conflict := func(format string, args ...any) error {
 		return &ConflictError{Op: i, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -90,10 +105,11 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 		if n.Type != dom.ElementNode {
 			return 0, conflict("%s is not an element", n.Path())
 		}
+		ed.Touch(n)
 		copied := 0
 		for _, f := range op.frag {
 			c := f.Clone()
-			copied += countNodes(c)
+			copied += ed.Insert(c)
 			n.AppendChild(c)
 		}
 		return copied, nil
@@ -105,22 +121,27 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 		copied := 0
 		for j, f := range op.frag {
 			frag[j] = f.Clone()
-			copied += countNodes(frag[j])
+			copied += ed.Insert(frag[j])
 		}
 		if err := spliceSiblings(n, frag, op.Kind == OpInsertAfter); err != nil {
 			return 0, conflict("%v", err)
 		}
+		ed.Touch(n.Parent)
 		return copied, nil
 	case OpDelete:
 		switch n.Type {
 		case dom.AttributeNode:
-			if n.Parent == nil || !n.Parent.RemoveAttr(n.Name) {
+			p := n.Parent
+			if p == nil || !p.RemoveAttr(n.Name) {
 				return 0, conflict("attribute %s already removed", n.Path())
 			}
+			ed.Touch(p)
 		case dom.ElementNode:
-			if n.Parent == nil || !n.Parent.RemoveChild(n) {
+			p := n.Parent
+			if p == nil || !p.RemoveChild(n) {
 				return 0, conflict("%s already removed", n.Path())
 			}
+			ed.Touch(p)
 		default:
 			return 0, conflict("%s is not an element or attribute", n.Path())
 		}
@@ -130,11 +151,13 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 			return 0, conflict("cannot replace the document element")
 		}
 		repl := op.frag[0].Clone()
+		copied := ed.Insert(repl)
 		if err := spliceSiblings(n, []*dom.Node{repl}, false); err != nil {
 			return 0, conflict("%v", err)
 		}
+		ed.Touch(n.Parent)
 		n.Parent.RemoveChild(n)
-		return countNodes(repl), nil
+		return copied, nil
 	case OpReplaceText:
 		if n.Type != dom.ElementNode {
 			return 0, conflict("%s is not an element", n.Path())
@@ -148,6 +171,7 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 			kept = append(kept, c)
 		}
 		n.Children = kept
+		ed.Touch(n)
 		if op.Text != "" {
 			// The replacement text leads the element's remaining
 			// children — the normalized content order the
@@ -155,7 +179,7 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 			t := dom.NewText(op.Text)
 			t.Parent = n
 			n.Children = append([]*dom.Node{t}, n.Children...)
-			return 1, nil
+			return ed.Insert(t), nil
 		}
 		return 0, nil
 	case OpSetAttr:
@@ -163,6 +187,7 @@ func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 			return 0, conflict("%s is not an element", n.Path())
 		}
 		n.SetAttr(op.Name, op.Value)
+		ed.Touch(n)
 		return 0, nil
 	}
 	return 0, conflict("unknown operation %q", op.Kind)
@@ -194,14 +219,4 @@ func spliceSiblings(n *dom.Node, frag []*dom.Node, after bool) error {
 	kids = append(kids, p.Children[at:]...)
 	p.Children = kids
 	return nil
-}
-
-// countNodes counts the nodes of a fragment subtree (elements,
-// attributes, and character data alike) for the copy accounting.
-func countNodes(n *dom.Node) int {
-	c := 1 + len(n.Attrs)
-	for _, ch := range n.Children {
-		c += countNodes(ch)
-	}
-	return c
 }

@@ -80,9 +80,9 @@ func GenDocument(cfg DocConfig) *dom.Document {
 		}
 	}
 	build(root, 1)
-	doc.Renumber()
-	// Generated documents stand in for parsed ones, so they carry the
-	// same struct-of-arrays arena the parser would have built.
+	// Generated documents stand in for parsed ones, so they are
+	// numbered and carry the same struct-of-arrays arena the parser
+	// would have built.
 	doc.BuildArena()
 	return doc
 }

@@ -342,10 +342,10 @@ func (p *parser) document() (*Result, error) {
 	if p.dtd != nil && p.opts.ApplyDefaults {
 		p.dtd.ApplyDefaults(root)
 	}
-	doc.Renumber()
-	// Flatten into the struct-of-arrays arena while the tree is hot:
-	// names are interned, character data is escaped once into the
-	// shared byte buffer, and every later request sweeps the arrays.
+	// Number the nodes and flatten them into the struct-of-arrays arena
+	// while the tree is hot: names are interned, character data is
+	// escaped once into the shared byte buffer, and every later request
+	// sweeps the arrays.
 	arena := doc.BuildArena()
 	return &Result{Doc: doc, Arena: arena, DTD: p.dtd}, nil
 }

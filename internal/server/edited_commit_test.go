@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"xmlsec/internal/labexample"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/update"
+	"xmlsec/internal/workload"
 )
 
 // The parity fixture: a DTD with value, #FIXED and enumerated defaults,
@@ -303,6 +305,36 @@ func TestEditedCommitParityChained(t *testing.T) {
 		if committed < len(paritySeeds)/2 {
 			t.Errorf("base %d: only %d of %d seeds committed on an edited generation", b, committed, len(paritySeeds))
 		}
+	}
+}
+
+// TestEditedCommitParityRandomChain commits a long chain of random
+// scripts (the generator the write benchmarks use: every operation
+// kind, several operations per script) on one generated document, so
+// local commits splice generations that were spliced many times, and
+// checks every commit against the oracles. The document is DTD-less,
+// because the generator's inserted elements carry fresh names.
+func TestEditedCommitParityRandomChain(t *testing.T) {
+	cfg := workload.DocConfig{Depth: 4, Fanout: 3, Labels: 4, Attrs: 2, Seed: 5}
+	s := NewDocStore()
+	prev, err := s.prepareDocument("gen.xml", workload.GenDocument(cfg).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	committed := 0
+	for i := 0; i < 60; i++ {
+		script := update.RandomScript(rng, prev.Doc, 1+rng.Intn(5))
+		if script == nil {
+			t.Fatalf("step %d: the generator returned no script", i)
+		}
+		if nd := checkEditedParity(t, s, prev, script.Canonical()); nd != nil {
+			prev = nd
+			committed++
+		}
+	}
+	if committed < 50 {
+		t.Fatalf("only %d of 60 random scripts committed", committed)
 	}
 }
 
